@@ -5,6 +5,13 @@ Elements are canonical words over the backend's symmetric generating set
 (lowercase = generator, uppercase = inverse).  The identity is "".
 Ordering of generators and of ball enumerations is ShortLex with letter
 order a < A < b < B < ...
+
+Every backend also keeps mutable path states: parse_state(w) builds one,
+append_letter(state, c) multiplies it by a letter on the right in place,
+and render(state) gives back a word.  len(parse_state(w)) is never less
+than the word length |w| of the element w.  It equals |w| on the free and
+free product backends; on the Dehn backend a state is a freely reduced
+word, which can be longer than a geodesic.
 """
 
 from dataclasses import dataclass, field

@@ -86,7 +86,8 @@ def run_record(args, result: dict, certificate=None, profile=None) -> dict:
     record = {
         "subcommand": args.command,
         "inputs": {k: v for k, v in vars(args).items()
-                   if k not in ("command", "func", "json", "out") and v is not None},
+                   if k not in ("command", "func", "json", "out", "start_time")
+                   and v is not None},
         "result": result,
     }
     if certificate is not None:
@@ -95,6 +96,7 @@ def run_record(args, result: dict, certificate=None, profile=None) -> dict:
         record["profile"] = profile_echo(profile)
     if getattr(args, "seed", None) is not None:
         record["seed"] = args.seed
+    record["wall_time_s"] = time.perf_counter() - args.start_time
     return record
 
 
@@ -407,14 +409,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    start = time.perf_counter()
+    args.start_time = time.perf_counter()
     try:
-        code = args.func(args)
+        return args.func(args)
     except (BackendError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _ = time.perf_counter() - start
-    return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backends import BudgetExceeded, letter_rank
+from .backends import BudgetExceeded, shortlex_key
 from .freewords import inverse_word
 
 
@@ -269,15 +269,9 @@ def _shortlex_rotation(backend, core: str, conj: str):
         head = cur[0]
         cur = backend.mul(backend.mul(backend.inv(head), cur), head)
         cur_conj = backend.mul(cur_conj, head)
-        if len(cur) == len(core) and _shortlex_less(cur, best):
+        if len(cur) == len(core) and shortlex_key(cur) < shortlex_key(best):
             best, best_conj = cur, cur_conj
     return best, best_conj
-
-
-def _shortlex_less(u: str, v: str) -> bool:
-    ku = (len(u), [letter_rank(c) for c in u])
-    kv = (len(v), [letter_rank(c) for c in v])
-    return ku < kv
 
 
 def injectivity_radius_estimate(backend, length_bound: int, n_max: int = 8):
@@ -336,12 +330,36 @@ def acylindricity_profile(backend, eps: int, radius: int):
     return r_est, n_est, f"observed_on_ball({radius})"
 
 
-def _diff_update_prepend(backend, diff: str, letter: str) -> str:
-    return backend.normal_form(inverse_word(letter) + diff)
+def _left_mul(backend, c: str, state):
+    """State of c * g from the state of g."""
+    return backend.parse_state(c + backend.render(state))
 
 
-def _diff_update_append(backend, diff: str, letter: str) -> str:
-    return backend.normal_form(diff + letter)
+def _skip_scan(backend, u: str, qv: list[str], r: int):
+    """Exact scan for the first vertex of qv within distance r of u.
+
+    Path vertices are 1-Lipschitz in their index, so a probe at distance
+    d > r rules out the next d - r - 1 indices.  Returns (index, None) on a
+    hit and (None, floor) on a miss, where floor <= d(u, qv) comes from the
+    probes: between consecutive probes at distances da, db that are L
+    indices apart no vertex is nearer than ceil((da + db - L) / 2), and
+    past the last probe distances fall by at most 1 per index.
+    """
+    m = len(qv)
+    j, floor, prev = 0, None, None
+    while j < m:
+        d = backend.dist(u, qv[j])
+        if d <= r:
+            return j, None
+        if prev is not None:
+            pj, pd = prev
+            bound = (pd + d - (j - pj) + 1) // 2
+            floor = bound if floor is None else min(floor, bound)
+        prev = (j, d)
+        j += d - r
+    pj, pd = prev
+    bound = pd - (m - 1 - pj)
+    return None, bound if floor is None else min(floor, bound)
 
 
 def _neighborhood_flags(p: PathInGraph, q: PathInGraph, r: int, backend,
@@ -349,80 +367,59 @@ def _neighborhood_flags(p: PathInGraph, q: PathInGraph, r: int, backend,
     """Per-vertex flags: flags[i] is True iff p.vertices[i] is within distance
     r of some vertex of q.
 
-    Sweeps a difference element p_i^-1 q_j letter by letter so that long
-    fellow-traveling paths are checked in near-linear time.  A vertex the
-    sweep cannot place falls back to an exact full scan; a full scan that
-    misses also yields a distance lower bound (distances change by at most 1
-    per edge), so long far-away stretches skip their scans entirely.
+    A window of backend states E_j = q_j^-1 p_i, for j within `half` of the
+    last hit, follows p.  A step p_{i+1} = p_i * l is one append_letter of l
+    to every state; the window moves by E_{j+1} = l_j^-1 E_j and
+    E_{j-1} = l_{j-1} E_j, l_j being the j-th letter of q.  The length of a
+    state is never less than d(p_i, q_j), and equals it on the free and free
+    product backends, so a state of length <= r is a sound hit.  Anything
+    else goes to an exact skip scan over q (see _skip_scan).  A miss leaves
+    a lower bound on d(p_i, q) that falls by at most 1 per step of p, so far
+    stretches of p skip their scans entirely.
     """
     m = len(q.vertices)
-    # diffs[j - j_lo] = p_i^-1 q_j for j in a sliding window
-    window = max(4, 2 * r + (len(q.label) // max(1, m - 1)) + 4)
+    half = 2 * r + 1  # on a geodesic q the next hit lies within 2r + 1 of the last
+    states: list = []  # states[k] is E_{j_lo + k}; empty after a miss
     j_lo = 0
-    diffs = [backend.mul(backend.inv(p.vertices[0]), q.vertices[0])]
-
-    def extend_to(hi):
-        while j_lo + len(diffs) <= hi:
-            j = j_lo + len(diffs)
-            diffs.append(_diff_update_append(backend, diffs[-1], q.label[j - 1]))
-
-    flags = []
-    center = 0
     dist_floor = 0  # known lower bound on d(p_i, q)
-    for i, _ in enumerate(p.vertices):
-        hit = None
+    flags = []
+    for i, u in enumerate(p.vertices):
+        if i:
+            letter = p.label[i - 1]
+            for e in states:
+                backend.append_letter(e, letter)
+            dist_floor -= 1
         if dist_floor > r:
             hit = False
         else:
-            lo = max(0, center - window)
-            hi = min(m - 1, center + window)
-            while j_lo < lo:
-                diffs.pop(0)
-                j_lo += 1
-            extend_to(hi)
-            best_j, best_len = None, None
-            for j in range(lo, hi + 1):
-                n = len(diffs[j - j_lo])
-                if best_len is None or n < best_len:
-                    best_j, best_len = j, n
-            if best_len is not None and best_len <= r:
-                center = best_j
+            lengths = [len(e) for e in states]
+            best = min(lengths, default=r + 1)
+            if best <= r:
                 hit = True
+                center = j_lo + lengths.index(best)
             else:
-                # exact fallback; a miss records the true minimum distance
-                u_i = p.vertices[i]
-                found, minimum = None, None
-                for j, v in enumerate(q.vertices):
-                    d = backend.dist(u_i, v)
-                    if minimum is None or d < minimum:
-                        minimum = d
-                    if d <= r:
-                        found = j
-                        break
-                if found is None:
-                    hit = False
-                    dist_floor = minimum
+                center, floor = _skip_scan(backend, u, q.vertices, r)
+                hit = center is not None
+                if hit:
+                    states = [backend.parse_state(inverse_word(q.vertices[center]) + u)]
+                    j_lo = center
                 else:
-                    hit = True
-                    if not lo <= found <= hi:
-                        center = found
-                        new_lo = max(0, center - window)
-                        if new_lo < j_lo or j_lo + len(diffs) <= new_lo:
-                            # window jumped; restart the sweep at the hit
-                            diffs = [backend.mul(backend.inv(u_i),
-                                                 q.vertices[new_lo])]
-                            j_lo = new_lo
-                        else:
-                            while j_lo < new_lo:
-                                diffs.pop(0)
-                                j_lo += 1
-                        extend_to(min(m - 1, center + window))
+                    states, dist_floor = [], floor
+            if hit:
+                lo, hi = max(0, center - half), min(m - 1, center + half)
+                if j_lo < lo:
+                    del states[:lo - j_lo]
+                    j_lo = lo
+                del states[hi - j_lo + 1:]
+                while j_lo > lo:
+                    j_lo -= 1
+                    states.insert(0, _left_mul(backend, q.label[j_lo], states[0]))
+                while j_lo + len(states) <= hi:
+                    j = j_lo + len(states)
+                    states.append(_left_mul(backend, inverse_word(q.label[j - 1]), states[-1]))
         flags.append(hit)
         if not hit and stop_on_miss:
             return flags
-        if i + 1 < len(p.vertices):
-            diffs = [_diff_update_prepend(backend, d, p.label[i]) for d in diffs]
-            dist_floor = max(0, dist_floor - 1)
     return flags
 
 

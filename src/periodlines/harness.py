@@ -119,22 +119,33 @@ def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
     return HarnessResult("no-witness-within-bounds", None, details)
 
 
+def _powers(backend, g: str, n: int) -> dict[int, str]:
+    """{k: g^k for 0 < |k| <= n}, one mul per power."""
+    out = {}
+    for sign, base in ((1, g), (-1, backend.inv(g))):
+        acc = ""
+        for k in range(1, n + 1):
+            acc = backend.mul(acc, base)
+            out[sign * k] = acc
+    return out
+
+
 def _witness_search(backend, a: str, b: str, x: str, y: str, max_exponent: int):
     """Search s, t != 0 with (x^-1 y) b^s (y^-1 x) = a^t, smallest |s|+|t|
-    first; every hit is re-verified by backend equality before emission."""
+    first; every hit is re-verified in the conjugation form
+    (y^-1 x) a^t (x^-1 y) = b^s before emission."""
     u = backend.mul(backend.inv(backend.normal_form(x)), backend.normal_form(y))
     u_inv = backend.inv(u)
-    powers_a = {t: _power(backend, a, t)
-                for t in range(-max_exponent, max_exponent + 1) if t}
+    powers_a = _powers(backend, a, max_exponent)
+    powers_b = _powers(backend, b, max_exponent)
+    conj_b = {s: backend.mul(backend.mul(u, bs), u_inv) for s, bs in powers_b.items()}
     candidates = sorted(
-        ((s, t) for s in range(-max_exponent, max_exponent + 1) if s
-         for t in range(-max_exponent, max_exponent + 1) if t),
+        ((s, t) for s in powers_b for t in powers_a),
         key=lambda st: (abs(st[0]) + abs(st[1]), st),
     )
     for s, t in candidates:
-        lhs = backend.mul(backend.mul(u, _power(backend, b, s)), u_inv)
-        if backend.equal(lhs, powers_a[t]):
-            if not backend.equal(lhs, _power(backend, a, t)):
+        if backend.equal(conj_b[s], powers_a[t]):
+            if not backend.equal(backend.mul(backend.mul(u_inv, powers_a[t]), u), powers_b[s]):
                 raise RuntimeError("witness failed re-verification")
             return {"s": s, "t": t}
     return None

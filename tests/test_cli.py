@@ -151,6 +151,13 @@ def test_threshold_sweep_csv(capsys):
     assert out[1].startswith("0,")
 
 
+def test_run_record_wall_time(capsys):
+    code, rec = run_json(capsys, ["periods", "--word", "abaab"])
+    assert code == 0
+    assert rec["wall_time_s"] >= 0
+    assert "start_time" not in rec["inputs"]
+
+
 def test_out_file(capsys, tmp_path):
     dest = tmp_path / "rec.json"
     code = main(["periods", "--word", "abaab", "--out", str(dest)])

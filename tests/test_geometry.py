@@ -2,8 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from periodlines.backends import FreeBackend, FreeProductBackend
+from periodlines.backends import (
+    SURFACE_GENUS2,
+    BudgetExceeded,
+    DehnBackend,
+    FreeBackend,
+    FreeProductBackend,
+)
 from periodlines.freewords import cyclic_reduce
 from periodlines.geometry import (
     GeometryError,
@@ -16,15 +23,18 @@ from periodlines.geometry import (
     hausdorff_distance,
     injectivity_radius_estimate,
     neighborhood_contains,
+    neighborhood_profile,
     path_from_word,
     periodic_line,
     quasi_geodesic_check,
+    reverse_path,
     shortest_conjugate,
     stable_norm_estimate,
 )
 
 FREE = FreeBackend(2)
 FP = FreeProductBackend((2, 3))
+DEHN = DehnBackend(SURFACE_GENUS2)
 
 
 def test_quasi_params_validation():
@@ -193,6 +203,81 @@ def test_neighborhood_contains_long_lines():
     assert not neighborhood_contains(p, short, 1, FREE)
     far = periodic_line(FREE, "bb", "ab", 0, 50)
     assert not neighborhood_contains(p, far, 1, FREE)
+
+
+def _assert_sweep_matches_brute_force(p, q, backend):
+    """Both sweep entry points against the distance from every vertex of p
+    to every vertex of q, for r = 0..3."""
+    nearest = [min(backend.dist(u, v) for v in q.vertices) for u in p.vertices]
+    for r in range(4):
+        flags = [d <= r for d in nearest]
+        assert neighborhood_profile(p, q, r, backend) == flags, r
+        assert neighborhood_contains(p, q, r, backend) == all(flags), r
+
+
+@st.composite
+def line_pairs(draw, backend):
+    """Periodic lines p = L(x, a) and q = L(x h, b) of 20-100 edges each.
+
+    b is a, a^-1 or an unrelated word, h is short (overlapping lines) or
+    long (far apart), the two windows are drawn independently (partial
+    overlap) and q may be reversed, so that window hits, skip-scan hits,
+    skip-scan misses and the distance floor after a miss all occur."""
+    words = st.text(alphabet=backend.letters, min_size=1, max_size=4).filter(
+        lambda w: not backend.is_identity(w))
+
+    def line(x, a):
+        la = len(geodesic_word(backend, a))
+        periods = draw(st.integers(-(-20 // la), 100 // la))
+        n_min = draw(st.integers(-periods, 0))
+        return periodic_line(backend, x, a, n_min, n_min + periods)
+
+    a = draw(words)
+    b = draw(st.sampled_from([a, backend.inv(a), draw(words)]))
+    x = backend.normal_form(draw(st.text(alphabet=backend.letters, max_size=3)))
+    h = draw(st.text(alphabet=backend.letters, max_size=12))
+    q = line(backend.mul(x, h), b)
+    if draw(st.booleans()):
+        q = reverse_path(q)
+    return line(x, a), q
+
+
+@pytest.mark.parametrize("backend", [FREE, FP], ids=["free", "zmzn"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_neighborhood_sweep_matches_brute_force(backend, data):
+    _assert_sweep_matches_brute_force(*data.draw(line_pairs(backend)), backend)
+
+
+@st.composite
+def dehn_walks(draw):
+    """Paths whose vertices stay in ball(2) of the genus-2 surface group, so
+    that every distance between two of them is certified within the radius-4
+    budget.  Vertex words are freely reduced only: a walk around part of the
+    relator keeps long words for short elements, so the sweep's window
+    states overestimate distances and the exact skip scan must decide."""
+    ball2 = DEHN.ball(2)
+    start = draw(st.sampled_from(sorted(DEHN.ball(1))))
+    word, vertex = "", start
+    for _ in range(draw(st.integers(0, 16))):
+        c = draw(st.sampled_from([c for c in DEHN.letters
+                                  if DEHN.normal_form(vertex + c) in ball2]))
+        word, vertex = word + c, DEHN.normal_form(vertex + c)
+    return path_from_word(DEHN, start, word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dehn_walks(), dehn_walks())
+def test_neighborhood_sweep_matches_brute_force_dehn(p, q):
+    _assert_sweep_matches_brute_force(p, q, DEHN)
+
+
+def test_neighborhood_sweep_dehn_far_vertex_raises():
+    # d("aaaaa", "") = 5 is beyond the radius-4 budget: no flag is guessed
+    p = path_from_word(DEHN, "aaaaa", "a")
+    q = path_from_word(DEHN, "", "b")
+    with pytest.raises(BudgetExceeded):
+        neighborhood_profile(p, q, 1, DEHN)
 
 
 def test_hausdorff_distance():
