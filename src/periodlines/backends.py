@@ -12,6 +12,15 @@ and render(state) gives back a word.  len(parse_state(w)) is never less
 than the word length |w| of the element w.  It equals |w| on the free and
 free product backends; on the Dehn backend a state is a freely reduced
 word, which can be longer than a geodesic.
+
+The Dehn backend reduces words in real time, one left-to-right stack pass
+per word (Domanski-Anshel 1985; Holt 2000).  Its ball of certified
+geodesics grows one BFS layer at a time, only as far as a call needs, and
+two words are compared for ball membership first by Greendlinger's lemma
+(Lyndon-Schupp, Combinatorial Group Theory, Ch. V, Sec. 4): after their
+common prefix and suffix are stripped, a difference shorter than the
+shortest relator is nontrivial, and one of exactly that length is trivial
+iff it is a symmetrized relator.
 """
 
 from dataclasses import dataclass, field
@@ -362,9 +371,15 @@ def verify_small_cancellation(p: Presentation, lambda_denominator: int) -> bool:
 
 
 class DehnBackend:
-    """Group given by a C'(1/6) presentation; the word problem is solved
-    exactly by Dehn's algorithm, while geodesic lengths and canonical forms
-    are certified only within a BFS radius budget."""
+    """Group given by a C'(1/6) presentation.
+
+    The word problem is solved exactly by Dehn's algorithm, run in real time
+    as one left-to-right stack pass (Domanski-Anshel 1985; Holt 2000).
+    Geodesic lengths and ShortLex canonical forms are certified only within
+    a BFS ball of radius max_radius, grown one layer at a time as far as a
+    call needs.  Ball membership is decided by Greendlinger's lemma where it
+    applies (see _same_element) and by Dehn reduction elsewhere.
+    """
 
     kind = "dehn"
 
@@ -374,57 +389,80 @@ class DehnBackend:
         self.presentation = presentation
         self.max_radius = max_radius
         self.letters = [c for g in presentation.generators for c in (g, g.upper())]
+        self._letterset = frozenset(self.letters)
+        self._symmetrized = frozenset(presentation.symmetrized())
+        self._n_min = min(len(rel) for rel in presentation.relators)
         # Replacement rules: a subword covering more than half of a
-        # symmetrized relator rho = s t is replaced by the shorter t^-1.
-        self._rules: list[tuple[str, str]] = []
+        # symmetrized relator rho = s t is replaced by the shorter t^-1.  Only
+        # the shortest such s (|s| = |rho| // 2 + 1) is a key: every longer
+        # one starts with it, so a word free of the keys is Dehn-reduced.
+        # Under C'(1/6) two relators never share a prefix that long.
+        self._rules: dict[str, str] = {}
         for rho in presentation.symmetrized():
-            n = len(rho)
-            for k in range(n, n // 2, -1):
-                if 2 * k > n:
-                    self._rules.append((rho[:k], inverse_word(rho[k:])))
-        self._rules.sort(key=lambda r: -len(r[0]))
+            h = len(rho) // 2 + 1
+            self._rules[rho[:h]] = inverse_word(rho[h:])
+        self._rule_lengths = sorted({len(s) for s in self._rules})
         self._abelian_ok = all(
             self._abelian_vector(rel) == tuple([0] * len(presentation.generators))
             for rel in presentation.relators
         )
-        self._ball_cache: dict[str, int] | None = None
-        self._canon_cache: list[str] = []
-        self._reduced_of_canon: list[str] = []
-        self._buckets: dict[tuple, list[int]] = {}
+        # The ball: its elements in BFS order as ShortLex geodesics, the index
+        # of each, and (exponent sums, layer) buckets.  Layer d is
+        # _canon[_layer_start[d]:_layer_start[d + 1]].
+        self._canon: list[str] = [""]
+        self._index: dict[str, int] = {"": 0}
+        self._layer_start: list[int] = [0, 1]
+        self._buckets: dict[tuple, list[int]] = {(self._bucket_key(""), 0): [0]}
 
     def describe(self) -> str:
         return "dehn:" + ";".join(self.presentation.relators)
 
     def check_word(self, w: str) -> None:
-        for c in w:
-            if c not in self.letters:
-                raise BackendError(f"letter {c!r} not in generating set")
+        if not self._letterset.issuperset(w):
+            for c in w:
+                if c not in self._letterset:
+                    raise BackendError(f"letter {c!r} not in generating set")
 
     def _abelian_vector(self, w: str) -> tuple:
-        counts = [0] * len(self.presentation.generators)
-        for c in w:
-            i = self.presentation.generators.index(c.lower())
-            counts[i] += 1 if c.islower() else -1
-        return tuple(counts)
+        return tuple(w.count(g) - w.count(g.upper()) for g in self.presentation.generators)
 
     def _bucket_key(self, w: str) -> tuple:
         # Exponent sums are a conjugation-free invariant exactly when every
         # relator abelianizes to zero; otherwise fall back to one bucket.
         return self._abelian_vector(w) if self._abelian_ok else ()
 
+    def _push(self, stack: list[str], w: str) -> None:
+        """Multiply the Dehn-reduced word on `stack` by w, in place.
+
+        Letters are pushed one at a time, cancelling freely.  No rule key is
+        a subword of the stack before a push, so a key can only appear as a
+        suffix after it; a matched key is popped and its replacement is fed
+        back as input.  Every replacement shortens the word, so the pass
+        ends, and it is linear in |w| for a fixed presentation.
+        """
+        rules, lengths = self._rules, self._rule_lengths
+        todo = list(reversed(w))
+        while todo:
+            c = todo.pop()
+            if stack and stack[-1] == c.swapcase():
+                stack.pop()
+                continue
+            stack.append(c)
+            for k in lengths:
+                if len(stack) >= k:
+                    repl = rules.get("".join(stack[-k:]))
+                    if repl is not None:
+                        del stack[-k:]
+                        todo.extend(reversed(repl))
+                        break
+
     def dehn_reduce(self, w: str) -> str:
+        """A Dehn-reduced word equal to w: freely reduced, and with no
+        subword that is more than half of a symmetrized relator."""
         self.check_word(w)
-        w = free_reduce(w)
-        changed = True
-        while changed:
-            changed = False
-            for s, repl in self._rules:
-                i = w.find(s)
-                if i >= 0:
-                    w = free_reduce(w[:i] + repl + w[i + len(s):])
-                    changed = True
-                    break
-        return w
+        stack: list[str] = []
+        self._push(stack, w)
+        return "".join(stack)
 
     def is_identity(self, w: str) -> bool:
         return self.dehn_reduce(w) == ""
@@ -438,72 +476,105 @@ class DehnBackend:
     def mul(self, u: str, v: str) -> str:
         return self.dehn_reduce(u + v)
 
-    def _build_ball(self) -> None:
-        if self._ball_cache is not None:
-            return
-        out = {"": 0}
-        self._canon_cache = [""]
-        self._reduced_of_canon = [""]
-        self._buckets = {self._bucket_key(""): [0]}
-        frontier = [""]
+    def _same_element(self, u: str, v: str) -> bool:
+        """Whether freely reduced words u and v are equal in the group.
+
+        With their common prefix and suffix stripped, u = p s q and
+        v = p t q, and u = v exactly when s t^-1 is trivial; s t^-1 is
+        freely reduced.  By Greendlinger's lemma (Lyndon-Schupp,
+        Combinatorial Group Theory, Ch. V, Sec. 4) a nonempty cyclically
+        reduced word that is trivial under C'(1/6) is either a symmetrized
+        relator or longer than the shortest relator.  So |s| + |t| below
+        that length means distinct elements, and equal to it means equal
+        exactly when s t^-1 is symmetrized (a word that is not cyclically
+        reduced is nontrivial here: it cyclically reduces to a shorter,
+        nonempty word).  Only longer pairs need Dehn's algorithm.
+        """
+        p = _common_prefix_len(u, v)
+        s, t = u[p:], v[p:]
+        q = 0
+        while q < len(s) and q < len(t) and s[-1 - q] == t[-1 - q]:
+            q += 1
+        s, t = s[:len(s) - q], t[:len(t) - q]
+        n = len(s) + len(t)
+        if n < self._n_min:
+            return n == 0
+        if n == self._n_min:
+            return s + inverse_word(t) in self._symmetrized
+        return self.is_identity(s + inverse_word(t))
+
+    def _member(self, u: str, radius: int) -> int | None:
+        """Index of the ball element of length <= radius equal to the
+        freely reduced word u, or None.  Layers up to radius must be built.
+        A layer d with |u| + d below the shortest relator length can only
+        hold u itself, which the index finds."""
+        idx = self._index.get(u)
+        if idx is not None:
+            return idx
+        key = self._bucket_key(u)
+        for d in range(max(0, self._n_min - len(u)), radius + 1):
+            for idx in self._buckets.get((key, d), ()):
+                if self._same_element(u, self._canon[idx]):
+                    return idx
+        return None
+
+    def _grow(self, radius: int) -> None:
+        """Build the ball layer by layer up to radius (<= max_radius)."""
         letters = sorted(self.letters, key=letter_rank)
-        for d in range(1, self.max_radius + 1):
-            nxt = []
-            for w in frontier:
+        while len(self._layer_start) <= radius + 1:
+            d = len(self._layer_start) - 1
+            for w in self._canon[self._layer_start[d - 1]:self._layer_start[d]]:
                 for c in letters:
+                    if w and w[-1] == c.swapcase():
+                        continue
+                    # w is geodesic, hence Dehn-reduced, so one push reduces
+                    # w c; a shorter result is an element of a built layer.
+                    stack = list(w)
+                    self._push(stack, c)
+                    if len(stack) < d:
+                        continue
                     cand = w + c
-                    red = self.dehn_reduce(cand)
-                    key = self._bucket_key(red)
-                    known = False
-                    for idx in self._buckets.get(key, []):
-                        if self.is_identity(red + inverse_word(self._reduced_of_canon[idx])):
-                            known = True
-                            break
-                    if known:
+                    if self._member(cand, d) is not None:
                         continue
                     # BFS explores candidate words in ShortLex order, so the
                     # first word reaching an element is its ShortLex geodesic.
-                    idx = len(self._canon_cache)
-                    out[cand] = d
-                    self._canon_cache.append(cand)
-                    self._reduced_of_canon.append(red)
-                    self._buckets.setdefault(key, []).append(idx)
-                    nxt.append(cand)
-            frontier = nxt
-        self._ball_cache = out
+                    idx = len(self._canon)
+                    self._canon.append(cand)
+                    self._index[cand] = idx
+                    self._buckets.setdefault((self._bucket_key(cand), d), []).append(idx)
+            self._layer_start.append(len(self._canon))
 
     def ball(self, radius: int) -> dict[str, int]:
         if radius > self.max_radius:
             raise BudgetExceeded(
                 f"ball radius {radius} exceeds budget; largest completed radius is {self.max_radius}"
             )
-        self._build_ball()
-        return {w: d for w, d in self._ball_cache.items() if d <= radius}
+        self._grow(radius)
+        # canonical words are geodesics: a word's length is its distance
+        return {w: len(w) for w in self._canon[:self._layer_start[max(radius + 1, 0)]]}
 
-    def _lookup(self, w: str) -> int | None:
-        """Index of the ball element equal to w, or None if not in the ball."""
-        self._build_ball()
+    def _lookup(self, w: str) -> tuple[int | None, str]:
+        """(index of the ball element equal to w or None, Dehn-reduced w).
+        An element is no longer than any word for it, so the ball is grown
+        only to the length of the reduced word."""
         red = self.dehn_reduce(w)
-        for idx in self._buckets.get(self._bucket_key(red), []):
-            if self.is_identity(red + inverse_word(self._reduced_of_canon[idx])):
-                return idx
-        return None
+        radius = min(len(red), self.max_radius)
+        self._grow(radius)
+        return self._member(red, radius), red
 
     def normal_form(self, w: str) -> str:
         """ShortLex geodesic canonical form when w lies in the budget ball,
-        otherwise the Dehn-irreducible form (check nf_exact)."""
-        idx = self._lookup(w)
-        if idx is not None:
-            return self._canon_cache[idx]
-        return self.dehn_reduce(w)
+        otherwise a Dehn-reduced form (check nf_exact)."""
+        idx, red = self._lookup(w)
+        return red if idx is None else self._canon[idx]
 
     def nf_exact(self, w: str) -> bool:
-        return self._lookup(w) is not None
+        return self._lookup(w)[0] is not None
 
     def length(self, g: str) -> tuple[int, str]:
-        idx = self._lookup(g)
+        idx, _ = self._lookup(g)
         if idx is not None:
-            return len(self._canon_cache[idx]), "exact"
+            return len(self._canon[idx]), "exact"
         return self.max_radius, f"lower_bound({self.max_radius})"
 
     def dist(self, u: str, v: str) -> int:
@@ -513,10 +584,10 @@ class DehnBackend:
         return n
 
     def geodesic_word(self, g: str) -> str:
-        idx = self._lookup(g)
+        idx, _ = self._lookup(g)
         if idx is None:
             raise BudgetExceeded("geodesic unavailable at budget")
-        return self._canon_cache[idx]
+        return self._canon[idx]
 
     def append_letter(self, state: list[str], c: str) -> None:
         # Paths in the Dehn backend keep freely reduced representatives;

@@ -76,7 +76,9 @@ class ConstantsProfile:
     def r_base(self) -> int:
         """2*delta + 2*mu, an integer by construction."""
         total = 2 * self.delta + 2 * self.mu
-        assert total.denominator == 1
+        if total.denominator != 1:
+            raise ProfileError(f"2*delta + 2*mu = {total} is not an integer; "
+                               "build profiles with create()")
         return int(total)
 
 

@@ -157,6 +157,7 @@ def free_commensurate(a: str, b: str) -> tuple[str, int, int] | None:
                 s, t = kb // d, sign * (ka // d)
                 check = free_reduce(inverse_word(g) + rb * t + g) if t > 0 else \
                     free_reduce(inverse_word(g) + inverse_word(rb) * (-t) + g)
-                assert check == free_reduce(ra * s), "witness failed to verify"
+                if check != free_reduce(ra * s):
+                    raise RuntimeError("witness failed to verify")
                 return g, s, t
     return None

@@ -236,20 +236,20 @@ def commensurability_search(backend, a: str, b: str, max_exponent: int = 8,
             return None, "exact: non-commensurable"
         g, s, t = res
         return {"g": g, "s": s, "t": t}, "exact"
+    # candidates by |s| + |t|, then s ascending, then t positive first
+    candidates = [(s, t)
+                  for total in range(2, 2 * max_exponent + 1)
+                  for s in range(-max_exponent, max_exponent + 1)
+                  if s and 1 <= total - abs(s) <= max_exponent
+                  for t in (total - abs(s), abs(s) - total)]
+    powers_a = _powers(backend, a, max_exponent)
+    powers_b = _powers(backend, b, max_exponent)
     for g in backend.ball(conjugator_bound):
         g_inv = backend.inv(g)
-        for total in range(2, 2 * max_exponent + 1):
-            for s in range(-max_exponent, max_exponent + 1):
-                if not s:
-                    continue
-                t_abs = total - abs(s)
-                if t_abs < 1 or t_abs > max_exponent:
-                    continue
-                for t in (t_abs, -t_abs):
-                    lhs = _power(backend, a, s)
-                    rhs = backend.mul(backend.mul(g_inv, _power(backend, b, t)), g)
-                    if backend.equal(lhs, rhs):
-                        return {"g": g, "s": s, "t": t}, f"bounded({max_exponent},{conjugator_bound})"
+        conj_b = {t: backend.mul(backend.mul(g_inv, bt), g) for t, bt in powers_b.items()}
+        for s, t in candidates:
+            if backend.equal(powers_a[s], conj_b[t]):
+                return {"g": g, "s": s, "t": t}, f"bounded({max_exponent},{conjugator_bound})"
     return None, f"not found within bounds ({max_exponent},{conjugator_bound})"
 
 

@@ -65,10 +65,9 @@ def fine_wilf_root(z: str, p: int, q: int) -> str:
     if len(z) < p + q:
         raise PeriodError(f"overlap too short: |z|={len(z)} < {p}+{q}")
     g = gcd(p, q)
-    assert is_period(z, g), "periodicity lemma violated (internal error)"
     w = z[:g]
-    assert z[:p] == w * (p // g)
-    assert z[:q] == w * (q // g)
+    if not (is_period(z, g) and z[:p] == w * (p // g) and z[:q] == w * (q // g)):
+        raise RuntimeError("periodicity lemma violated (internal error)")
     return w
 
 

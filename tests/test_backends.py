@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodlines.backends import (
     BackendError,
@@ -15,6 +17,7 @@ from periodlines.backends import (
     shortlex_key,
     verify_small_cancellation,
 )
+from periodlines.freewords import free_reduce, inverse_word
 
 
 def test_make_backend_parses_specs():
@@ -149,3 +152,165 @@ class TestDehn:
         assert self.d.nf_exact("ab")
         w = self.d.normal_form("abAB")
         assert self.d.equal(w, "dcDC")
+
+
+class ReferenceDehn:
+    """The Dehn backend's first algorithm, kept as an oracle: Dehn reduction
+    restarts str.find over every rule, longest first, after each
+    replacement, and a ball lookup Dehn-reduces the difference with every
+    member of its exponent-sum bucket.  The whole ball is built up front."""
+
+    def __init__(self, presentation, max_radius=4):
+        self.rules = []
+        for rho in presentation.symmetrized():
+            n = len(rho)
+            for k in range(n, n // 2, -1):
+                self.rules.append((rho[:k], inverse_word(rho[k:])))
+        self.rules.sort(key=lambda r: -len(r[0]))
+        self.gens = presentation.generators
+        self.canon, self.reduced, self.buckets = [""], [""], {self.key(""): [0]}
+        self.ball = {"": 0}
+        frontier = [""]
+        letters = sorted((c for g in self.gens for c in (g, g.upper())),
+                         key=lambda c: (c.lower(), c.isupper()))
+        for d in range(1, max_radius + 1):
+            nxt = []
+            for w in frontier:
+                for c in letters:
+                    cand = w + c
+                    red = self.dehn_reduce(cand)
+                    if self.scan(red) is None:
+                        self.ball[cand] = d
+                        self.buckets.setdefault(self.key(red), []).append(len(self.canon))
+                        self.canon.append(cand)
+                        self.reduced.append(red)
+                        nxt.append(cand)
+            frontier = nxt
+
+    def key(self, w):
+        return tuple(w.count(g) - w.count(g.upper()) for g in self.gens)
+
+    def dehn_reduce(self, w):
+        w = free_reduce(w)
+        changed = True
+        while changed:
+            changed = False
+            for s, repl in self.rules:
+                i = w.find(s)
+                if i >= 0:
+                    w = free_reduce(w[:i] + repl + w[i + len(s):])
+                    changed = True
+                    break
+        return w
+
+    def is_identity(self, w):
+        return self.dehn_reduce(w) == ""
+
+    def equal(self, u, v):
+        return self.is_identity(u + inverse_word(v))
+
+    def scan(self, red):
+        for idx in self.buckets.get(self.key(red), []):
+            if self.is_identity(red + inverse_word(self.reduced[idx])):
+                return idx
+        return None
+
+    def normal_form(self, w):
+        idx = self.scan(self.dehn_reduce(w))
+        return None if idx is None else self.canon[idx]
+
+
+REF = ReferenceDehn(SURFACE_GENUS2)
+GENUS2_LETTERS = "aAbBcCdD"
+SYMMETRIZED = SURFACE_GENUS2.symmetrized()
+BALL4 = sorted(REF.ball, key=shortlex_key)
+# words equal to short elements more often than chance: ball words with
+# symmetrized relators spliced in
+GENUS2_WORDS = st.one_of(
+    st.text(alphabet=GENUS2_LETTERS, max_size=16),
+    st.builds(lambda u, rho, i, v: u[:i] + rho + u[i:] + v,
+              st.sampled_from(BALL4), st.sampled_from(SYMMETRIZED),
+              st.integers(0, 4), st.sampled_from(BALL4)),
+    st.builds(lambda u, rho, k: u + inverse_word(rho[k:]),
+              st.sampled_from(BALL4), st.sampled_from(SYMMETRIZED), st.integers(3, 5)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(GENUS2_WORDS, GENUS2_WORDS)
+def test_dehn_matches_reference(w, v):
+    # a fresh backend grows its ball only as far as each call needs
+    for d in (DehnBackend(SURFACE_GENUS2), TestDehn.d):
+        canon = REF.normal_form(w)
+        assert d.length(w) == ((len(canon), "exact") if canon is not None else (4, "lower_bound(4)"))
+        assert d.nf_exact(w) == (canon is not None)
+        red = d.normal_form(w)
+        if canon is not None:
+            assert red == canon
+        else:
+            assert REF.equal(red, w) and REF.dehn_reduce(red) == red
+        assert d.is_identity(w) == REF.is_identity(w)
+        assert d.equal(w, v) == REF.equal(w, v)
+        assert d.equal(w, w + v + inverse_word(v))
+
+
+def test_dehn_ball_matches_reference():
+    d = DehnBackend(SURFACE_GENUS2)
+    assert list(d.ball(4).items()) == list(REF.ball.items())
+
+
+def test_genus2_sphere_sizes():
+    # 1, 8, 56, 392, 2736: the growth series of the genus-2 surface group
+    # (Cannon), agreeing with an independent Fuchsian-group oracle
+    ball = DehnBackend(SURFACE_GENUS2).ball(4)
+    spheres = [sum(1 for d in ball.values() if d == n) for n in range(5)]
+    assert spheres == [1, 8, 56, 392, 2736]
+
+
+def test_ball_grows_on_demand():
+    fresh = DehnBackend(SURFACE_GENUS2).ball(2)
+    full = DehnBackend(SURFACE_GENUS2).ball(4)
+    assert list(fresh.items()) == [(w, n) for w, n in full.items() if n <= 2]
+
+
+def _freely_reduced(n):
+    for tup in itertools.product(GENUS2_LETTERS, repeat=n):
+        w = "".join(tup)
+        if free_reduce(w) == w:
+            yield w
+
+
+def test_greendlinger_certificate():
+    """Greendlinger's lemma under C'(1/6), checked against Dehn reduction:
+    a nonempty freely reduced word whose cyclic reduction is shorter than
+    the relator (8) is nontrivial, and one of length 8 that is cyclically
+    reduced is trivial exactly when it is a symmetrized relator."""
+    d = DehnBackend(SURFACE_GENUS2)
+    sym = set(SYMMETRIZED)
+    words = [w for n in range(1, 6) for w in _freely_reduced(n)]
+    rng = random.Random(3)
+    for rho in SYMMETRIZED:  # relators and their one-letter mutants
+        for i in range(8):
+            for c in GENUS2_LETTERS:
+                words.append(free_reduce(rho[:i] + c + rho[i + 1:]))
+    words += ["".join(rng.choice(GENUS2_LETTERS) for _ in range(rng.randint(6, 10)))
+              for _ in range(5000)]
+    for w in map(free_reduce, words):
+        if not w:
+            continue
+        k = 0
+        while len(w) - 2 * k >= 2 and w[k] == w[-1 - k].swapcase():
+            k += 1
+        core = w[k:len(w) - k]
+        if len(core) < 8:
+            assert not REF.is_identity(w), w
+        elif len(core) == 8:
+            assert REF.is_identity(w) == (core in sym), w
+    # the backend's pairwise certificate agrees with Dehn reduction
+    for _ in range(20000):
+        u = rng.choice(BALL4)
+        v = rng.choice(BALL4) if rng.random() < 0.5 else \
+            REF.dehn_reduce(u + rng.choice(SYMMETRIZED)[:rng.randint(3, 5)])
+        if rng.random() < 0.5:
+            u = REF.dehn_reduce(u + rng.choice(GENUS2_LETTERS))
+        assert d._same_element(u, v) == REF.equal(u, v), (u, v)

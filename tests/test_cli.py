@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from periodlines.backends import BudgetExceeded
 from periodlines.cli import main
 
 PROFILE = {
@@ -177,3 +178,44 @@ def test_usage_errors():
 
 def test_bad_backend_is_runtime_error(capsys):
     assert main(["classify", "--backend", "nope:1", "--g", "a"]) == 1
+
+
+# Frozen outputs of genus-2 surface group calls, which a faster Dehn backend
+# must reproduce exactly: (argv, exit code or the exception raised, result,
+# certificate).  Three calls meet BudgetExceeded, and inj-radius and lemma41
+# exit 1 without a record.
+GENUS2_GOLDEN = [
+    (["delta", "--radius", "1"], 0, {"delta": "0"}, "lower_bound(exhaustive on ball(1))"),
+    (["delta", "--radius", "2", "--seed", "0"], BudgetExceeded, None, None),
+    (["acyl-profile", "--eps", "1", "--radius", "3"], 0, {"R": 1, "N": 3},
+     "observed_on_ball(3)"),
+    (["commensurate", "--a", "DDDD", "--b", "dd"], 0,
+     {"witness": {"g": "", "s": -1, "t": 2}}, "bounded(8,4)"),
+    (["stable-norm", "--g", "d", "--n-max", "4"], 0, {"stable_norm": "1"},
+     "upper_bound(n_max=4)"),
+    (["stable-norm", "--g", "Caa"], BudgetExceeded, None, None),
+    (["classify", "--g", "bac"], 0, {"class": "undecided"}, None),
+    (["line", "--a", "dd", "--x", "D", "--n-max", "3"], 0,
+     {"vertices": ["D", "", "d", "dd", "ddd", "dddd", "ddddd"], "label": "dddddd",
+      "phase_indices": [0, 2, 4, 6], "period_element": "dd"}, "exact"),
+    (["inj-radius"], 1, None, None),
+    (["lemma41", "--b", "BC", "--x-q", "BC", "--window", "4", "--r", "2"], 1, None, None),
+    (["fourgon-selfcheck", "--count", "5", "--seed", "0"], BudgetExceeded, None, None),
+]
+
+
+@pytest.mark.parametrize("argv,code,result,certificate", GENUS2_GOLDEN,
+                         ids=[" ".join(case[0][:1] + case[0][1:3]) for case in GENUS2_GOLDEN])
+def test_genus2_golden(capsys, tmp_path, argv, code, result, certificate):
+    pres = tmp_path / "genus2.txt"
+    pres.write_text("gens: a,b,c,d\nrel: abABcdCD\n")
+    argv = argv[:1] + ["--backend", f"dehn:{pres}"] + argv[1:] + ["--json"]
+    if isinstance(code, type):
+        with pytest.raises(code):
+            main(argv)
+        return
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    rec = json.loads(out) if out else {}
+    assert rec.get("result") == result
+    assert rec.get("certificate") == certificate

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import periodlines
 from periodlines.words import (
     PeriodError,
     border_array,
@@ -99,3 +103,42 @@ def test_primitive_root_of_power(w, k):
     assert c * m == w * k
     # the root itself is primitive
     assert primitive_root(c) == (c, 1)
+
+
+# Each snippet breaks one internal invariant; the check must still raise the
+# named error when python -O strips assert statements.
+BROKEN_INVARIANTS = {
+    "fine_wilf_root": ("RuntimeError: periodicity lemma violated", """
+from periodlines import words
+words.gcd = lambda p, q: 1
+words.fine_wilf_root("ababab", 2, 4)
+"""),
+    "fine_wilf_root powers": ("RuntimeError: periodicity lemma violated", """
+from periodlines import words
+words.gcd = lambda p, q: 1
+words.is_period = lambda z, p: True
+words.fine_wilf_root("ababab", 2, 4)
+"""),
+    "free_commensurate": ("RuntimeError: witness failed to verify", """
+from periodlines import freewords
+freewords.gcd = lambda p, q: 2
+freewords.free_commensurate("ab", "abab")
+"""),
+    "r_base": ("periodlines.constants.ProfileError: 2*delta + 2*mu = 1/2", """
+import dataclasses
+from fractions import Fraction
+from periodlines.constants import ConstantsProfile
+p = ConstantsProfile.create(0, 1, 1, "user-supplied", {})
+dataclasses.replace(p, mu=Fraction(1, 4)).r_base
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_INVARIANTS))
+def test_invariant_checks_survive_python_O(name):
+    error, snippet = BROKEN_INVARIANTS[name]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(periodlines.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", snippet],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1].startswith(error), proc.stderr
