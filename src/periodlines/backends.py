@@ -6,6 +6,11 @@ Elements are canonical words over the backend's symmetric generating set
 Ordering of generators and of ball enumerations is ShortLex with letter
 order a < A < b < B < ...
 
+All three backends implement the protocol of _Backend, which holds the
+code they share and every backend-specific decision the geometry and the
+harness need.  A length certificate other than "exact" means |g| > n, and
+dist is exact or raises BudgetExceeded.
+
 Every backend also keeps mutable path states: parse_state(w) builds one,
 append_letter(state, c) multiplies it by a letter on the right in place,
 and render(state) gives back a word.  len(parse_state(w)) is never less
@@ -23,10 +28,10 @@ shortest relator is nontrivial, and one of exactly that length is trivial
 iff it is a symmetrized relator.
 """
 
-from dataclasses import dataclass, field
-from collections import deque
+from dataclasses import dataclass
 
-from .freewords import free_reduce, inverse_word, is_cyclically_reduced
+from .freewords import free_commensurate, free_reduce, inverse_word, is_cyclically_reduced
+from .words import primitive_root
 
 
 class BackendError(ValueError):
@@ -45,24 +50,46 @@ def shortlex_key(w: str):
     return (len(w), [letter_rank(c) for c in w])
 
 
-class FreeBackend:
-    """Free group of given rank; reduced words are the normal forms and the
-    unique geodesics."""
+def _common_prefix_len(u: str, v: str) -> int:
+    n = 0
+    for a, b in zip(u, v):
+        if a != b:
+            break
+        n += 1
+    return n
 
-    kind = "free"
 
-    def __init__(self, rank: int):
-        if not 1 <= rank <= 26:
-            raise BackendError(f"rank must be in 1..26, got {rank}")
-        self.rank = rank
-        lowers = [chr(ord("a") + i) for i in range(rank)]
-        self.letters = [c for low in lowers for c in (low, low.upper())]
-        self._letterset = frozenset(self.letters)
-        self._cancelling = [low + low.upper() for low in lowers] + \
-            [low.upper() + low for low in lowers]
+class _Backend:
+    """The backend protocol, with the code the backends share.
 
-    def describe(self) -> str:
-        return f"free:{self.rank}"
+    Arithmetic: normal_form, mul, inv, equal, is_identity, nf_exact.
+    Metric: length(g) -> (n, certificate), dist(u, v) (exact, or
+    BudgetExceeded), geodesic_word, ball(radius).  Path states:
+    parse_state, append_letter, render (a free stack of letters here).
+
+    Capabilities:
+    - conjugacy_core(g): (conj, core) exactly, or None where the backend
+      cannot decide;
+    - elliptic_core_len: an element is loxodromic iff its conjugacy core is
+      longer than this;
+    - commensurate(a, b): (witness, certificate) from an exact oracle, or
+      None;
+    - centralizer_note(z, b): extra lemma 4.1 details, or {};
+    - sharp_periods: the exact period threshold at r = 0, or None.
+
+    The code here assumes canonical normal forms that are geodesic words,
+    and its dist and conjugacy_core hold in free groups (conjugacy_core in
+    free products too); a backend without these properties overrides them.
+    The other capabilities default to "not available".
+    """
+
+    elliptic_core_len = 0
+    sharp_periods = None
+
+    def __init__(self, letters: list[str], aliases: str = ""):
+        self.letters = letters
+        self._letterset = frozenset(letters).union(aliases)
+        self._cancelling = [c + c.swapcase() for c in letters]
 
     def check_word(self, w: str) -> None:
         if not self._letterset.issuperset(w):
@@ -70,7 +97,7 @@ class FreeBackend:
                 if c not in self._letterset:
                     raise BackendError(f"letter {c!r} not in generating set")
 
-    def normal_form(self, w: str) -> str:
+    def _free_reduce(self, w: str) -> str:
         self.check_word(w)
         if not any(pair in w for pair in self._cancelling):
             return w
@@ -95,29 +122,13 @@ class FreeBackend:
         return len(self.normal_form(g)), "exact"
 
     def dist(self, u: str, v: str) -> int:
-        # reduced words live in a tree: strip the common prefix
+        # free reduced words live in a tree: strip the common prefix
         u, v = self.normal_form(u), self.normal_form(v)
-        k = 0
-        for a, b in zip(u, v):
-            if a != b:
-                break
-            k += 1
+        k = _common_prefix_len(u, v)
         return (len(u) - k) + (len(v) - k)
 
     def geodesic_word(self, g: str) -> str:
         return self.normal_form(g)
-
-    def append_letter(self, stack: list[str], c: str) -> None:
-        if stack and stack[-1] == c.swapcase():
-            stack.pop()
-        else:
-            stack.append(c)
-
-    def parse_state(self, w: str) -> list[str]:
-        return list(self.normal_form(w))
-
-    def render(self, stack: list[str]) -> str:
-        return "".join(stack)
 
     def ball(self, radius: int) -> dict[str, int]:
         """Every element at distance <= radius with its exact distance,
@@ -131,12 +142,86 @@ class FreeBackend:
             nxt = []
             for w in frontier:
                 for c in letters:
-                    if w and w[-1] == c.swapcase():
-                        continue
-                    out[w + c] = d
-                    nxt.append(w + c)
+                    v = self.mul(w, c)
+                    if v not in out:
+                        out[v] = d
+                        nxt.append(v)
             frontier = nxt
         return out
+
+    def append_letter(self, state: list[str], c: str) -> None:
+        if state and state[-1] == c.swapcase():
+            state.pop()
+        else:
+            state.append(c)
+
+    def parse_state(self, w: str) -> list[str]:
+        return list(self._free_reduce(w))
+
+    def render(self, state: list[str]) -> str:
+        return "".join(state)
+
+    def conjugacy_core(self, g: str) -> tuple[str, str] | None:
+        """(conj, core) with conj^-1 g conj = core, core shortest in the
+        conjugacy class of g and ShortLex-least among its rotations.
+
+        In a free group or a free product every element is conjugate to a
+        cyclically reduced word, unique up to cyclic permutation
+        (Lyndon-Schupp, Ch. IV, Sec. 1).  Letters of the normal form are
+        syllables, so the first and last ones fold together exactly when
+        their product is shorter than two letters."""
+        core, conj = self.normal_form(g), ""
+        while len(core) >= 2 and len(self.mul(core[-1], core[0])) < 2:
+            conj = self.mul(conj, core[0])
+            core = self.mul(self.mul(self.inv(core[0]), core), core[0])
+        # every rotation of a cyclically reduced core is a normal form
+        i = min(range(len(core)), key=lambda i: shortlex_key(core[i:] + core[:i]), default=0)
+        return self.mul(conj, core[:i]), core[i:] + core[:i]
+
+    def commensurate(self, a: str, b: str):
+        return None
+
+    def centralizer_note(self, z: str, b: str) -> dict:
+        return {}
+
+
+class FreeBackend(_Backend):
+    """Free group of given rank; reduced words are the normal forms and the
+    unique geodesics."""
+
+    sharp_periods = 2
+
+    def __init__(self, rank: int):
+        if not 1 <= rank <= 26:
+            raise BackendError(f"rank must be in 1..26, got {rank}")
+        self.rank = rank
+        lowers = [chr(ord("a") + i) for i in range(rank)]
+        super().__init__([c for low in lowers for c in (low, low.upper())])
+
+    def describe(self) -> str:
+        return f"free:{self.rank}"
+
+    def normal_form(self, w: str) -> str:
+        return self._free_reduce(w)
+
+    def commensurate(self, a: str, b: str):
+        """Exact commensurability: ({g, s, t} with a^s = g^-1 b^t g, or
+        None, certificate)."""
+        res = free_commensurate(self.normal_form(a), self.normal_form(b))
+        if res is None:
+            return None, "exact: non-commensurable"
+        g, s, t = res
+        return {"g": g, "s": s, "t": t}, "exact"
+
+    def centralizer_note(self, z: str, b: str) -> dict:
+        """Centralizers are cyclic, so z commutes with a power of b iff z is
+        a power of b's primitive root.  b must be cyclically reduced: then
+        every power of the root is a reduced word."""
+        if not z:
+            return {}
+        c, _ = primitive_root(self.normal_form(b))
+        member = primitive_root(z)[0] in (c, inverse_word(c))
+        return {"centralizer_member": member, "primitive_root": c}
 
 
 @dataclass(frozen=True)
@@ -145,7 +230,7 @@ class _Syllable:
     exp: int
 
 
-class FreeProductBackend:
+class FreeProductBackend(_Backend):
     """Free product of two finite cyclic groups of orders 2 or 3.
 
     The generating set consists of all nontrivial elements of each factor,
@@ -155,26 +240,26 @@ class FreeProductBackend:
     and the uppercase form is accepted as an alias.
     """
 
-    kind = "free_product"
+    elliptic_core_len = 1  # a single syllable lies in a finite factor
     _BASES = "xy"
 
     def __init__(self, orders: tuple[int, int] = (2, 3)):
         if len(orders) != 2 or any(o not in (2, 3) for o in orders):
             raise BackendError("orders must be a pair drawn from {2, 3}")
         self.orders = tuple(orders)
-        self.letters = []
+        letters = []
         self._mergeable = []
         self._aliases = ""
         for i, o in enumerate(self.orders):
             base = self._BASES[i]
-            self.letters.append(base)
+            letters.append(base)
             if o == 3:
-                self.letters.append(base.upper())
+                letters.append(base.upper())
             else:
                 self._aliases += base.upper()
             both = base + base.upper()
             self._mergeable += [c + d for c in both for d in both]
-        self._letterset = frozenset(self.letters)
+        super().__init__(letters, self._aliases)
 
     def describe(self) -> str:
         return "zmzn:" + ",".join(str(o) for o in self.orders)
@@ -222,60 +307,16 @@ class FreeProductBackend:
             return w
         return self.render(self.parse_state(w))
 
-    def nf_exact(self, w: str) -> bool:
-        return True
-
-    def equal(self, u: str, v: str) -> bool:
-        return self.normal_form(u) == self.normal_form(v)
-
-    def is_identity(self, w: str) -> bool:
-        return self.normal_form(w) == ""
-
-    def mul(self, u: str, v: str) -> str:
-        return self.normal_form(u + v)
-
-    def inv(self, w: str) -> str:
-        return self.normal_form(inverse_word(w))
-
-    def length(self, g: str) -> tuple[int, str]:
-        # Each nontrivial factor element is one generator, so the alternating
-        # normal form is geodesic and length is the syllable count.
-        return len(self.normal_form(g)), "exact"
-
     def dist(self, u: str, v: str) -> int:
         # strip the common syllable prefix of the canonical forms; at the
         # split the two first syllables merge (without cancelling) exactly
         # when they lie in the same factor
         u, v = self.normal_form(u), self.normal_form(v)
-        k = 0
-        for a, b in zip(u, v):
-            if a != b:
-                break
-            k += 1
+        k = _common_prefix_len(u, v)
         nu, nv = len(u) - k, len(v) - k
         if nu and nv and u[k].lower() == v[k].lower():
             return nu + nv - 1
         return nu + nv
-
-    def geodesic_word(self, g: str) -> str:
-        return self.normal_form(g)
-
-    def ball(self, radius: int) -> dict[str, int]:
-        if radius < 0:
-            raise BackendError("radius must be >= 0")
-        out = {"": 0}
-        frontier = [""]
-        letters = sorted(self.letters, key=letter_rank)
-        for d in range(1, radius + 1):
-            nxt = []
-            for w in frontier:
-                for c in letters:
-                    v = self.mul(w, c)
-                    if v not in out:
-                        out[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        return out
 
 
 @dataclass(frozen=True)
@@ -340,15 +381,6 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(gens, tuple(rels))
 
 
-def _common_prefix_len(u: str, v: str) -> int:
-    n = 0
-    for a, b in zip(u, v):
-        if a != b:
-            break
-        n += 1
-    return n
-
-
 def verify_small_cancellation(p: Presentation, lambda_denominator: int) -> bool:
     """True iff every piece is strictly shorter than 1/lambda_denominator of
     each relator containing it.
@@ -370,7 +402,7 @@ def verify_small_cancellation(p: Presentation, lambda_denominator: int) -> bool:
     return True
 
 
-class DehnBackend:
+class DehnBackend(_Backend):
     """Group given by a C'(1/6) presentation.
 
     The word problem is solved exactly by Dehn's algorithm, run in real time
@@ -381,15 +413,12 @@ class DehnBackend:
     applies (see _same_element) and by Dehn reduction elsewhere.
     """
 
-    kind = "dehn"
-
     def __init__(self, presentation: Presentation, max_radius: int = 4):
         if not verify_small_cancellation(presentation, 6):
             raise BackendError("presentation is not C'(1/6); Dehn backend refused")
         self.presentation = presentation
         self.max_radius = max_radius
-        self.letters = [c for g in presentation.generators for c in (g, g.upper())]
-        self._letterset = frozenset(self.letters)
+        super().__init__([c for g in presentation.generators for c in (g, g.upper())])
         self._symmetrized = frozenset(presentation.symmetrized())
         self._n_min = min(len(rel) for rel in presentation.relators)
         # Replacement rules: a subword covering more than half of a
@@ -416,12 +445,6 @@ class DehnBackend:
 
     def describe(self) -> str:
         return "dehn:" + ";".join(self.presentation.relators)
-
-    def check_word(self, w: str) -> None:
-        if not self._letterset.issuperset(w):
-            for c in w:
-                if c not in self._letterset:
-                    raise BackendError(f"letter {c!r} not in generating set")
 
     def _abelian_vector(self, w: str) -> tuple:
         return tuple(w.count(g) - w.count(g.upper()) for g in self.presentation.generators)
@@ -589,20 +612,9 @@ class DehnBackend:
             raise BudgetExceeded("geodesic unavailable at budget")
         return self._canon[idx]
 
-    def append_letter(self, state: list[str], c: str) -> None:
-        # Paths in the Dehn backend keep freely reduced representatives;
-        # equality of vertices must go through `equal`.
-        if state and state[-1] == c.swapcase():
-            state.pop()
-        else:
-            state.append(c)
-
-    def parse_state(self, w: str) -> list[str]:
-        self.check_word(w)
-        return list(free_reduce(w))
-
-    def render(self, state: list[str]) -> str:
-        return "".join(state)
+    def conjugacy_core(self, g: str) -> None:
+        # no cyclic Dehn reduction yet: callers fall back to bounded searches
+        return None
 
 
 SURFACE_GENUS2 = Presentation(("a", "b", "c", "d"), ("abABcdCD",))

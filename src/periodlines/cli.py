@@ -2,7 +2,8 @@
 machine-readable output.
 
 Exit codes: 0 success, 2 hypothesis failure / witness not found within
-bounds, 64 usage error.
+bounds, 64 usage error, 1 runtime error (a bad backend, word or file, or a
+refused hypothesis such as an element that is not loxodromic).
 """
 
 import argparse

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backends import BudgetExceeded, shortlex_key
+from .backends import BudgetExceeded
 from .freewords import inverse_word
 
 
@@ -102,11 +102,10 @@ def quasi_geodesic_check(path: PathInGraph, params: QuasiParams, backend) -> lis
     """Violations (i, j, d) of d(v_i, v_j) >= (j - i)/kappa - eps over all
     vertex-to-vertex subpaths; empty list means the check passed."""
     violations = []
-    n = len(path.vertices)
-    for i in range(n):
-        inv_i = backend.inv(path.vertices[i])
-        for j in range(i + 1, n):
-            d = backend.length(backend.mul(inv_i, path.vertices[j]))[0]
+    verts = path.vertices
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            d = backend.dist(verts[i], verts[j])
             if Fraction(d) < Fraction(j - i) / params.kappa - params.eps:
                 violations.append((i, j, d))
     return violations
@@ -130,18 +129,24 @@ def _side_points(backend, u: str, v: str):
     return points
 
 
-def _point_dist(dist, p, q) -> Fraction:
+def _point_dist2(dist, p, q) -> int:
+    """Twice the distance between two points, so that it stays an integer
+    when a point is an edge midpoint."""
     kp, a1, a2 = p
     kq, b1, b2 = q
     if kp == "v" and kq == "v":
-        return Fraction(dist(a1, b1))
+        return 2 * dist(a1, b1)
     if kp == "v":
-        return Fraction(min(dist(a1, b1), dist(a1, b2))) + Fraction(1, 2)
+        return 2 * min(dist(a1, b1), dist(a1, b2)) + 1
     if kq == "v":
-        return Fraction(min(dist(a1, b1), dist(a2, b1))) + Fraction(1, 2)
+        return 2 * min(dist(a1, b1), dist(a2, b1)) + 1
     if {a1, a2} == {b1, b2}:
-        return Fraction(0)
-    return Fraction(min(dist(x, y) for x in (a1, a2) for y in (b1, b2))) + 1
+        return 0
+    return 2 * min(dist(x, y) for x in (a1, a2) for y in (b1, b2)) + 2
+
+
+def _point_dist(dist, p, q) -> Fraction:
+    return Fraction(_point_dist2(dist, p, q), 2)
 
 
 def _cached_dist(backend):
@@ -161,13 +166,13 @@ def slimness(backend, tri, dist=None) -> Fraction:
     delta-slim, measured on vertices and edge midpoints."""
     dist = dist or _cached_dist(backend)
     sides = [_side_points(backend, tri[i], tri[(i + 1) % 3]) for i in range(3)]
-    worst = Fraction(0)
+    worst = 0
     for i in range(3):
         others = sides[(i + 1) % 3] + sides[(i + 2) % 3]
         for p in sides[i]:
-            best = min(_point_dist(dist, p, q) for q in others)
+            best = min(_point_dist2(dist, p, q) for q in others)
             worst = max(worst, best)
-    return worst
+    return Fraction(worst, 2)
 
 
 def estimate_delta(backend, radius: int, max_triangles: int = 20000, seed: int = 0):
@@ -208,14 +213,14 @@ def stable_norm_estimate(backend, g: str, n_max: int):
 
 
 def classify_element(backend, g: str, n_max: int = 12) -> str:
-    """'elliptic', 'loxodromic', or 'undecided'."""
+    """'elliptic', 'loxodromic', or 'undecided'.  Exact where the backend
+    gives a conjugacy core; otherwise g is elliptic if a power up to n_max
+    is trivial, and undecided if none is."""
     if backend.is_identity(g):
         return "elliptic"
-    if backend.kind == "free":
-        return "loxodromic"
-    if backend.kind == "free_product":
-        _, core, _ = shortest_conjugate(backend, g)
-        return "loxodromic" if len(core) >= 2 else "elliptic"
+    exact = backend.conjugacy_core(g)
+    if exact is not None:
+        return "loxodromic" if len(exact[1]) > backend.elliptic_core_len else "elliptic"
     power = ""
     for _ in range(n_max):
         power = backend.mul(power, g)
@@ -226,26 +231,12 @@ def classify_element(backend, g: str, n_max: int = 12) -> str:
 
 def shortest_conjugate(backend, g: str, conjugator_bound: int = 4):
     """Shortest element of the conjugacy class, as (conjugator, core, cert)
-    with conjugator^-1 * g * conjugator = core.  The core is normalized to
-    the ShortLex-least among its cyclic rotations (free and free_product
-    backends, where the reduction is exact)."""
-    if backend.kind in ("free", "free_product"):
-        core = backend.normal_form(g)
-        conj = ""
-        while True:
-            if len(core) >= 2 and core[0] == _inverse_letter_of(backend, core[-1]):
-                conj = backend.mul(conj, core[0])
-                core = backend.mul(backend.mul(backend.inv(core[0]), core), core[0])
-            elif len(core) >= 2 and backend.kind == "free_product" and \
-                    core[0].lower() == core[-1].lower():
-                # first and last syllables in the same factor: fold them
-                conj = backend.mul(conj, core[0])
-                core = backend.mul(backend.mul(backend.inv(core[0]), core), core[0])
-            else:
-                break
-        core, conj = _shortlex_rotation(backend, core, conj)
-        return conj, core, "exact"
-    # Dehn backend: brute-force conjugators within the bound.
+    with conjugator^-1 * g * conjugator = core.  Exact, with the core
+    ShortLex-least among its cyclic rotations, where the backend gives a
+    conjugacy core; otherwise the best conjugate by ball(conjugator_bound)."""
+    exact = backend.conjugacy_core(g)
+    if exact is not None:
+        return (*exact, "exact")
     best_len, _ = backend.length(g)
     best, best_h = backend.normal_form(g), ""
     for h in backend.ball(conjugator_bound):
@@ -254,24 +245,6 @@ def shortest_conjugate(backend, g: str, conjugator_bound: int = 4):
         if cert == "exact" and n < best_len:
             best_len, best, best_h = n, backend.normal_form(cand), h
     return best_h, best, f"bounded({conjugator_bound})"
-
-
-def _inverse_letter_of(backend, c: str) -> str:
-    return backend.normal_form(inverse_word(c)) or c.swapcase()
-
-
-def _shortlex_rotation(backend, core: str, conj: str):
-    if len(core) < 2:
-        return core, conj
-    best, best_conj = core, conj
-    cur, cur_conj = core, conj
-    for _ in range(len(core) - 1):
-        head = cur[0]
-        cur = backend.mul(backend.mul(backend.inv(head), cur), head)
-        cur_conj = backend.mul(cur_conj, head)
-        if len(cur) == len(core) and shortlex_key(cur) < shortlex_key(best):
-            best, best_conj = cur, cur_conj
-    return best, best_conj
 
 
 def injectivity_radius_estimate(backend, length_bound: int, n_max: int = 8):
@@ -343,12 +316,21 @@ def _skip_scan(backend, u: str, qv: list[str], r: int):
     hit and (None, floor) on a miss, where floor <= d(u, qv) comes from the
     probes: between consecutive probes at distances da, db that are L
     indices apart no vertex is nearer than ceil((da + db - L) / 2), and
-    past the last probe distances fall by at most 1 per index.
+    past the last probe distances fall by at most 1 per index.  Each of
+    these steps holds for lower bounds too, so a probe beyond the backend's
+    budget counts as its certified lower bound, and raises BudgetExceeded
+    only when that bound is <= r.
     """
     m = len(qv)
     j, floor, prev = 0, None, None
     while j < m:
-        d = backend.dist(u, qv[j])
+        try:
+            d = backend.dist(u, qv[j])
+        except BudgetExceeded:
+            # a length n that is not exact certifies a distance above n
+            d = backend.length(inverse_word(u) + qv[j])[0] + 1
+            if d <= r:
+                raise
         if d <= r:
             return j, None
         if prev is not None:
@@ -439,9 +421,7 @@ def hausdorff_distance(p: PathInGraph, q: PathInGraph, backend) -> int:
     def directed(a: PathInGraph, b: PathInGraph) -> int:
         worst = 0
         for u in a.vertices:
-            inv_u = backend.inv(u)
-            best = min(backend.length(backend.mul(inv_u, v))[0] for v in b.vertices)
-            worst = max(worst, best)
+            worst = max(worst, min(backend.dist(u, v) for v in b.vertices))
         return worst
 
     return max(directed(p, q), directed(q, p))

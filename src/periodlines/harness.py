@@ -11,8 +11,6 @@ backend commensurability).
 import math
 from dataclasses import dataclass, field
 
-from .freewords import free_commensurate
-from .words import primitive_root
 from .geometry import (
     classify_element,
     neighborhood_contains,
@@ -69,21 +67,6 @@ def _power(backend, g: str, n: int) -> str:
     return out
 
 
-def _centralizer_note(backend, z: str, b: str) -> dict:
-    """Free backend only: centralizers are cyclic, so z commutes with a power
-    of b iff z is a power of b's primitive root."""
-    if backend.kind != "free" or not z:
-        return {}
-    c, _ = primitive_root(backend.normal_form(b))
-    for sign_c in (c, backend.inv(c)):
-        w = ""
-        for _ in range(len(z) // len(c) + 1):
-            w = backend.mul(w, sign_c)
-            if w == z:
-                return {"centralizer_member": True, "primitive_root": c}
-    return {"centralizer_member": False, "primitive_root": c}
-
-
 def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
                   profile=None, max_exponent: int = 8) -> HarnessResult:
     """Parallel b-periodic lines: if finite window subpaths of L(x_p, b) and
@@ -99,8 +82,8 @@ def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
                                  {**details, "reason": f"window {window} < K(r) = {K}"})
     p = periodic_line(backend, x_p, b, 0, window)
     q = periodic_line(backend, x_q, b, 0, window)
-    d_start = backend.length(backend.mul(backend.inv(p.start), q.start))[0]
-    d_end = backend.length(backend.mul(backend.inv(p.end), q.end))[0]
+    d_start = backend.dist(p.start, q.start)
+    d_end = backend.dist(p.end, q.end)
     details["endpoint_distances"] = [d_start, d_end]
     if max(d_start, d_end) > r:
         return HarnessResult("hypothesis-failed", None,
@@ -114,7 +97,7 @@ def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
             # re-verify via the conjugation form before emitting
             if not backend.equal(backend.mul(backend.mul(backend.inv(z), bn), z), bn):
                 raise RuntimeError("witness failed re-verification")
-            details.update(_centralizer_note(backend, z, b))
+            details.update(backend.centralizer_note(z, b))
             return HarnessResult("witness", {"n": n, "element": z}, details)
     return HarnessResult("no-witness-within-bounds", None, details)
 
@@ -197,11 +180,11 @@ def main_theorem_check(inst: TheoremInstance, profile=None,
     r = 0) the sharp two-period threshold is used instead of the pipeline."""
     backend = inst.backend
     if sharp_free:
-        if backend.kind != "free":
+        if backend.sharp_periods is None:
             raise HypothesisError("sharp mode is exact only for the free backend")
         if inst.r != 0:
             raise HypothesisError("sharp mode applies at r = 0")
-        return weak_theorem_check(inst, None, min_periods=2)
+        return weak_theorem_check(inst, None, min_periods=backend.sharp_periods)
     if profile is None:
         raise HypothesisError("profile required outside sharp mode")
     _, f = C_and_f(profile)
@@ -226,16 +209,14 @@ def main_theorem_check(inst: TheoremInstance, profile=None,
 
 def commensurability_search(backend, a: str, b: str, max_exponent: int = 8,
                             conjugator_bound: int = 4):
-    """(g, s, t) with a^s = g^-1 b^t g, exactly for the free backend and by
-    bounded search elsewhere; the failure label records which."""
+    """(g, s, t) with a^s = g^-1 b^t g, exactly where the backend has an
+    oracle (backend.commensurate) and by bounded search elsewhere; the
+    certificate records which."""
     if backend.is_identity(a) or backend.is_identity(b):
         raise HypothesisError("trivial element excluded")
-    if backend.kind == "free":
-        res = free_commensurate(backend.normal_form(a), backend.normal_form(b))
-        if res is None:
-            return None, "exact: non-commensurable"
-        g, s, t = res
-        return {"g": g, "s": s, "t": t}, "exact"
+    exact = backend.commensurate(a, b)
+    if exact is not None:
+        return exact
     # candidates by |s| + |t|, then s ascending, then t positive first
     candidates = [(s, t)
                   for total in range(2, 2 * max_exponent + 1)

@@ -17,16 +17,80 @@ from periodlines.backends import (
     shortlex_key,
     verify_small_cancellation,
 )
-from periodlines.freewords import free_reduce, inverse_word
+from periodlines.freewords import free_reduce, inverse_word, is_cyclically_reduced
+from periodlines.words import primitive_root
 
 
 def test_make_backend_parses_specs():
-    assert make_backend("free:2").kind == "free"
-    assert make_backend("zmzn:2,3").kind == "free_product"
+    assert type(make_backend("free:2")) is FreeBackend
+    assert type(make_backend("zmzn:2,3")) is FreeProductBackend
     with pytest.raises(BackendError):
         make_backend("nope:1")
     with pytest.raises(BackendError):
         make_backend("zmzn:2")
+
+
+CONFORMANCE = [FreeBackend(2), FreeProductBackend((2, 3)), DehnBackend(SURFACE_GENUS2)]
+
+
+@pytest.mark.parametrize("backend", CONFORMANCE, ids=["free", "zmzn", "dehn"])
+def test_conjugacy_core_contract(backend):
+    """conj^-1 g conj = core, no conjugate by ball(3) is shorter, and the
+    core is the ShortLex-least of its rotations; None where the backend
+    cannot decide (Dehn), with every other capability at its default."""
+    rng = random.Random(11)
+    elems = list(backend.ball(3))
+    conjugators = elems if len(elems) < 200 else rng.sample(elems, 200)
+    for g in rng.sample(elems, min(60, len(elems))) + [""]:
+        exact = backend.conjugacy_core(g)
+        if type(backend) is DehnBackend:
+            assert exact is None
+            continue
+        conj, core = exact
+        assert backend.normal_form(core) == core
+        assert backend.equal(backend.mul(backend.mul(backend.inv(conj), g), conj), core)
+        for h in conjugators:
+            assert len(core) <= len(backend.mul(backend.mul(backend.inv(h), g), h))
+        rotations = [core[i:] + core[:i] for i in range(len(core))]
+        assert all(shortlex_key(core) <= shortlex_key(w) for w in rotations)
+    if type(backend) is not FreeBackend:
+        a = backend.letters[0]
+        assert backend.commensurate(a, a) is None
+        assert backend.centralizer_note(a, a) == {}
+        assert backend.sharp_periods is None
+
+
+def _centralizer_note_reference(backend, z, b):
+    """The note's first algorithm: multiply out powers of the primitive root
+    of b and of its inverse and compare each with z."""
+    if not z:
+        return {}
+    c, _ = primitive_root(backend.normal_form(b))
+    for sign_c in (c, backend.inv(c)):
+        w = ""
+        for _ in range(len(z) // len(c) + 1):
+            w = backend.mul(w, sign_c)
+            if w == z:
+                return {"centralizer_member": True, "primitive_root": c}
+    return {"centralizer_member": False, "primitive_root": c}
+
+
+def test_centralizer_note_matches_mul_loop():
+    free = FreeBackend(2)
+    rng = random.Random(4)
+    cyclic = [w for w in free.ball(4) if w and is_cyclically_reduced(w)]
+    members = 0
+    for _ in range(3000):
+        b = rng.choice(cyclic)
+        c, _ = primitive_root(b)
+        if rng.random() < 0.5:
+            z = (c if rng.random() < 0.5 else inverse_word(c)) * rng.randint(1, 4)
+        else:
+            z = free.normal_form("".join(rng.choice("aAbB") for _ in range(rng.randint(0, 8))))
+        note = free.centralizer_note(z, b)
+        assert note == _centralizer_note_reference(free, z, b), (z, b)
+        members += note.get("centralizer_member", False)
+    assert members > 1000
 
 
 class TestFree:

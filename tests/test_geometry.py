@@ -11,7 +11,7 @@ from periodlines.backends import (
     FreeBackend,
     FreeProductBackend,
 )
-from periodlines.freewords import cyclic_reduce
+from periodlines.freewords import cyclic_reduce, inverse_word
 from periodlines.geometry import (
     GeometryError,
     PathInGraph,
@@ -29,7 +29,10 @@ from periodlines.geometry import (
     quasi_geodesic_check,
     reverse_path,
     shortest_conjugate,
+    slimness,
     stable_norm_estimate,
+    _point_dist,
+    _side_points,
 )
 
 FREE = FreeBackend(2)
@@ -102,6 +105,38 @@ def test_estimate_delta_fp_positive():
     assert val == Fraction(1, 2)
 
 
+def _point_dist_reference(dist, p, q):
+    """The first point distance, summing Fractions."""
+    kp, a1, a2 = p
+    kq, b1, b2 = q
+    if kp == "v" and kq == "v":
+        return Fraction(dist(a1, b1))
+    if kp == "v":
+        return Fraction(min(dist(a1, b1), dist(a1, b2))) + Fraction(1, 2)
+    if kq == "v":
+        return Fraction(min(dist(a1, b1), dist(a2, b1))) + Fraction(1, 2)
+    if {a1, a2} == {b1, b2}:
+        return Fraction(0)
+    return Fraction(min(dist(x, y) for x in (a1, a2) for y in (b1, b2))) + 1
+
+
+@pytest.mark.parametrize("backend", [FREE, FP], ids=["free", "zmzn"])
+def test_slimness_matches_fraction_reference(backend):
+    rng = random.Random(8)
+    elems = list(backend.ball(3))
+    for _ in range(50):
+        tri = rng.sample(elems, 3)
+        sides = [_side_points(backend, tri[i], tri[(i + 1) % 3]) for i in range(3)]
+        points = [p for side in sides for p in side]
+        for p in points:
+            for q in points:
+                assert _point_dist(backend.dist, p, q) == _point_dist_reference(backend.dist, p, q)
+        worst = max(min(_point_dist_reference(backend.dist, p, q)
+                        for q in sides[(i + 1) % 3] + sides[(i + 2) % 3])
+                    for i in range(3) for p in sides[i])
+        assert slimness(backend, tri) == worst
+
+
 def test_stable_norm_examples():
     assert stable_norm_estimate(FREE, "ab", 4) == (Fraction(2), "upper_bound(n_max=4)")
     val, _ = stable_norm_estimate(FREE, "Bab", 8)
@@ -128,6 +163,19 @@ def test_classify_element():
     assert classify_element(FP, "y") == "elliptic"
     assert classify_element(FP, "xyx") == "elliptic"  # conjugate of y
     assert classify_element(FP, "xy") == "loxodromic"
+
+
+@pytest.mark.parametrize("backend", [FREE, FP, FreeProductBackend((2, 2)), FreeProductBackend((3, 3))],
+                         ids=["free", "zmzn23", "zmzn22", "zmzn33"])
+def test_classify_element_matches_orders(backend):
+    # torsion in these groups has order at most 3, so a power up to 6
+    # decides the order of every element
+    for g in backend.ball(4):
+        power, elliptic = "", False
+        for _ in range(6):
+            power = backend.mul(power, g)
+            elliptic = elliptic or backend.is_identity(power)
+        assert classify_element(backend, g) == ("elliptic" if elliptic else "loxodromic"), g
 
 
 def test_shortest_conjugate_examples():
@@ -250,18 +298,19 @@ def test_neighborhood_sweep_matches_brute_force(backend, data):
 
 
 @st.composite
-def dehn_walks(draw):
-    """Paths whose vertices stay in ball(2) of the genus-2 surface group, so
-    that every distance between two of them is certified within the radius-4
-    budget.  Vertex words are freely reduced only: a walk around part of the
-    relator keeps long words for short elements, so the sweep's window
-    states overestimate distances and the exact skip scan must decide."""
-    ball2 = DEHN.ball(2)
+def dehn_walks(draw, radius=2):
+    """Paths whose vertices stay in ball(radius) of the genus-2 surface
+    group; for radius 2 every distance between two of them is certified
+    within the radius-4 budget.  Vertex words are freely reduced only: a
+    walk around part of the relator keeps long words for short elements, so
+    the sweep's window states overestimate distances and the exact skip
+    scan must decide."""
+    ball = DEHN.ball(radius)
     start = draw(st.sampled_from(sorted(DEHN.ball(1))))
     word, vertex = "", start
     for _ in range(draw(st.integers(0, 16))):
         c = draw(st.sampled_from([c for c in DEHN.letters
-                                  if DEHN.normal_form(vertex + c) in ball2]))
+                                  if DEHN.normal_form(vertex + c) in ball]))
         word, vertex = word + c, DEHN.normal_form(vertex + c)
     return path_from_word(DEHN, start, word)
 
@@ -272,12 +321,27 @@ def test_neighborhood_sweep_matches_brute_force_dehn(p, q):
     _assert_sweep_matches_brute_force(p, q, DEHN)
 
 
+@settings(max_examples=60, deadline=None)
+@given(dehn_walks(3), dehn_walks(3), st.integers(0, 3))
+def test_neighborhood_sweep_dehn_beyond_budget(p, q, r):
+    # vertices in ball(3) can be 6 apart; a distance beyond the radius-4
+    # budget is certified > 4 > r, so the sweep decides every flag
+    def within(u, v):
+        n, cert = DEHN.length(inverse_word(u) + v)
+        return cert == "exact" and n <= r
+
+    flags = [any(within(u, v) for v in q.vertices) for u in p.vertices]
+    assert neighborhood_profile(p, q, r, DEHN) == flags
+
+
 def test_neighborhood_sweep_dehn_far_vertex_raises():
-    # d("aaaaa", "") = 5 is beyond the radius-4 budget: no flag is guessed
+    # d("aaaaa", "") = 5 is beyond the radius-4 budget.  The certified bound
+    # d > 4 decides r = 1; at r = 5 it does not, and no flag is guessed.
     p = path_from_word(DEHN, "aaaaa", "a")
     q = path_from_word(DEHN, "", "b")
+    assert neighborhood_profile(p, q, 1, DEHN) == [False, False]
     with pytest.raises(BudgetExceeded):
-        neighborhood_profile(p, q, 1, DEHN)
+        neighborhood_profile(p, q, 5, DEHN)
 
 
 def test_hausdorff_distance():
