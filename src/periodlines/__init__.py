@@ -25,7 +25,6 @@ from .geometry import (
     acylindricity_profile,
     classify_element,
     estimate_delta,
-    geodesic_word,
     hausdorff_distance,
     injectivity_radius_estimate,
     neighborhood_contains,

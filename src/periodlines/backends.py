@@ -63,8 +63,8 @@ class _Backend:
     """The backend protocol, with the code the backends share.
 
     Arithmetic: normal_form, mul, inv, equal, is_identity, nf_exact.
-    Metric: length(g) -> (n, certificate), dist(u, v) (exact, or
-    BudgetExceeded), geodesic_word, ball(radius).  Path states:
+    Metric: length(g) -> (n, certificate), dist(u, v) and geodesic_word(g)
+    (exact, or BudgetExceeded), ball(radius).  Path states:
     parse_state, append_letter, render (a free stack of letters here).
 
     Capabilities:

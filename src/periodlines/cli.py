@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import constants, freewords, geometry, harness, words
 from .backends import BackendError, make_backend
-from .constants import ConstantsProfile
+from .constants import ConstantsProfile, ProfileError
 from .fourgon import FourGon, compose, side_elements
 from .geometry import PathInGraph, path_from_word, periodic_line
 from .harness import TheoremInstance
@@ -41,16 +41,20 @@ def parse_fraction(text) -> Fraction:
 def load_profile(path: str) -> ConstantsProfile:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    mu = data["mu"]
-    if isinstance(mu, dict):
-        mu_value, mu_prov = mu["value"], mu["provenance"]
-    else:
-        mu_value, mu_prov = mu, "user-supplied"
-    acyl = {}
-    for entry in data.get("acyl", []):
-        acyl[parse_fraction(entry["eps"])] = (parse_fraction(entry["R"]), int(entry["N"]))
+    try:
+        mu = data["mu"]
+        if isinstance(mu, dict):
+            mu_value, mu_prov = mu["value"], mu["provenance"]
+        else:
+            mu_value, mu_prov = mu, "user-supplied"
+        acyl = {}
+        for entry in data.get("acyl", []):
+            acyl[parse_fraction(entry["eps"])] = (parse_fraction(entry["R"]), int(entry["N"]))
+        delta, tau = data["delta"], data["tau"]
+    except KeyError as exc:
+        raise ProfileError(f"profile {path} is missing the key {exc.args[0]!r}") from None
     return ConstantsProfile.create(
-        parse_fraction(data["delta"]), parse_fraction(data["tau"]),
+        parse_fraction(delta), parse_fraction(tau),
         parse_fraction(mu_value), mu_prov, acyl)
 
 

@@ -2,6 +2,9 @@
 
 Convention: lowercase letter = generator, matching uppercase = its inverse.
 At most 26 generators.
+
+free_commensurate is the exact commensurability oracle; overlap_root, the
+periodicity lemma for two periodic lines, is read off its witness.
 """
 
 from dataclasses import dataclass
@@ -92,50 +95,38 @@ class OverlapRoot:
     exp_b: int
 
 
-def _powers_match(u: str, v: str, length: int) -> bool:
-    return (u * (length // len(u) + 1))[:length] == (v * (length // len(v) + 1))[:length]
-
-
 def overlap_root(a: str, b: str) -> OverlapRoot | None:
-    """Search the lines ...aaa... and ...bbb... for a common subword of
-    length |a|+|b|; on success some cyclic permutations of a and b are powers
-    of a common primitive word c.
+    """Common primitive root of the lines ...aaa... and ...bbb..., or None
+    when they share no subword of length |a|+|b|.
 
-    Scanning all |a| x |b| relative offsets is exhaustive: the letter at
-    offset k of either line depends on k modulo the word length, so the
-    pattern of agreements repeats with period lcm(|a|,|b|) <= |a|*|b|.
-    The reversed orientation of b is scanned as well (exp_b < 0).
+    In a free group the lines share such a subword exactly when a and b are
+    commensurable (Fine-Wilf; Lyndon-Schupp, Ch. I), so the root is read off
+    the witness (g, s, t) of free_commensurate.  For cyclically reduced
+    words g is the prefix of b's root, or of its inverse when t < 0, whose
+    rotation is a's root c.
     """
     for w, name in ((a, "a"), (b, "b")):
         if not w or not is_cyclically_reduced(w):
             raise FreeWordError(f"{name} must be nonempty and cyclically reduced")
-    length = len(a) + len(b)
-    for oriented in (b, inverse_word(b)):
-        for i in range(len(a)):
-            ra = rotate(a, i)
-            for j in range(len(b)):
-                rb = rotate(oriented, j)
-                if _powers_match(ra, rb, length):
-                    # Both rotations share a (|a|+|b|)-prefix, so by the
-                    # periodicity lemma they are powers of the gcd-prefix.
-                    c, exp_a = primitive_root(ra)
-                    exp_b = len(b) // len(c)
-                    if oriented is b:
-                        return OverlapRoot(c, i, j, exp_a, exp_b)
-                    # rb is a rotation of b^-1; express the shift on b itself.
-                    target = inverse_word(c) * exp_b
-                    for sb in range(len(b)):
-                        if rotate(b, sb) == target:
-                            return OverlapRoot(c, i, sb, exp_a, -exp_b)
-                    raise AssertionError("unreachable: shift on b must exist")
-    return None
+    res = free_commensurate(a, b)
+    if res is None:
+        return None
+    g, _, t = res
+    c, exp_a = primitive_root(a)
+    exp_b = len(b) // len(c)
+    if t > 0:
+        return OverlapRoot(c, 0, len(g), exp_a, exp_b)
+    # rotate(b^-1, |g|) = c^exp_b, so rotate(b, -|g|) = (c^-1)^exp_b
+    return OverlapRoot(c, 0, -len(g) % len(c), exp_a, -exp_b)
 
 
 def free_commensurate(a: str, b: str) -> tuple[str, int, int] | None:
     """Decide commensurability in the free group.
 
     Returns (g, s, t) with s, t != 0 and g^-1 b^t g = a^s (as reduced words),
-    or None exactly when a and b are not commensurable.
+    or None exactly when a and b are not commensurable: that is, when the
+    primitive root of a's cyclic core is no rotation of the root of b's, or
+    of its inverse.  The first such rotation gives g.
     """
     ra, rb = free_reduce(a), free_reduce(b)
     if not ra or not rb:
@@ -148,16 +139,18 @@ def free_commensurate(a: str, b: str) -> tuple[str, int, int] | None:
         pb_oriented = pb if sign == 1 else inverse_word(pb)
         if len(pb_oriented) != len(pa):
             continue
-        for i in range(len(pb_oriented)):
-            if rotate(pb_oriented, i) == pa:
-                # pa = sigma^-1 pb_oriented sigma for sigma = pb_oriented[:i]
-                sigma = pb_oriented[:i]
-                g = free_reduce(ub + sigma + inverse_word(ua))
-                d = gcd(ka, kb)
-                s, t = kb // d, sign * (ka // d)
-                check = free_reduce(inverse_word(g) + rb * t + g) if t > 0 else \
-                    free_reduce(inverse_word(g) + inverse_word(rb) * (-t) + g)
-                if check != free_reduce(ra * s):
-                    raise RuntimeError("witness failed to verify")
-                return g, s, t
+        # the first i with rotate(pb_oriented, i) == pa
+        i = (pb_oriented * 2).find(pa)
+        if i < 0:
+            continue
+        # pa = sigma^-1 pb_oriented sigma for sigma = pb_oriented[:i]
+        sigma = pb_oriented[:i]
+        g = free_reduce(ub + sigma + inverse_word(ua))
+        d = gcd(ka, kb)
+        s, t = kb // d, sign * (ka // d)
+        check = free_reduce(inverse_word(g) + rb * t + g) if t > 0 else \
+            free_reduce(inverse_word(g) + inverse_word(rb) * (-t) + g)
+        if check != free_reduce(ra * s):
+            raise RuntimeError("witness failed to verify")
+        return g, s, t
     return None

@@ -70,15 +70,6 @@ def concat_paths(p: PathInGraph, q: PathInGraph) -> PathInGraph:
     return PathInGraph(p.vertices + q.vertices[1:], p.label + q.label)
 
 
-def geodesic_word(backend, g: str) -> str:
-    """ShortLex-least geodesic word for g; errors when the backend cannot
-    certify the length exactly."""
-    _, cert = backend.length(g)
-    if cert != "exact":
-        raise BudgetExceeded("geodesic unavailable at budget")
-    return backend.geodesic_word(g)
-
-
 def periodic_line(backend, x: str, a: str, n_min: int, n_max: int) -> PathInGraph:
     """Finite window of the line L(x, a): the broken geodesic through the
     phase vertices x * a^n, every period segment carrying the same label."""
@@ -86,7 +77,7 @@ def periodic_line(backend, x: str, a: str, n_min: int, n_max: int) -> PathInGrap
         raise GeometryError("period element must be nontrivial")
     if n_min >= n_max:
         raise GeometryError("need n_min < n_max")
-    wa = geodesic_word(backend, a)
+    wa = backend.geodesic_word(a)
     start = backend.normal_form(x)
     if n_min != 0:
         step = wa if n_min > 0 else inverse_word(wa)
@@ -98,15 +89,30 @@ def periodic_line(backend, x: str, a: str, n_min: int, n_max: int) -> PathInGrap
     return path
 
 
+def _dist_or_bound(backend, u: str, v: str) -> tuple[int, BudgetExceeded | None]:
+    """(d(u, v), None), or (n + 1, exc) where the backend cannot certify
+    d(u, v): a length n that is not exact certifies a distance above n.
+    exc is the backend's BudgetExceeded, which a caller raises where the
+    lower bound does not decide its answer."""
+    try:
+        return backend.dist(u, v), None
+    except BudgetExceeded as exc:
+        return backend.length(inverse_word(u) + v)[0] + 1, exc
+
+
 def quasi_geodesic_check(path: PathInGraph, params: QuasiParams, backend) -> list[tuple[int, int, int]]:
     """Violations (i, j, d) of d(v_i, v_j) >= (j - i)/kappa - eps over all
-    vertex-to-vertex subpaths; empty list means the check passed."""
+    vertex-to-vertex subpaths; empty list means the check passed.  A pair
+    beyond the backend's budget passes when its certified lower bound meets
+    the threshold, and raises BudgetExceeded otherwise."""
     violations = []
     verts = path.vertices
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
-            d = backend.dist(verts[i], verts[j])
+            d, exc = _dist_or_bound(backend, verts[i], verts[j])
             if Fraction(d) < Fraction(j - i) / params.kappa - params.eps:
+                if exc is not None:
+                    raise exc
                 violations.append((i, j, d))
     return violations
 
@@ -115,12 +121,8 @@ def _side_points(backend, u: str, v: str):
     """Vertices and edge midpoints of the ShortLex geodesic from u to v.
     Midpoints matter: vertex-only slimness can report 0 on graphs whose
     metric hyperbolicity constant is positive (e.g. trees of triangles)."""
-    w = geodesic_word(backend, backend.mul(backend.inv(u), v))
-    state = backend.parse_state(u)
-    verts = [backend.render(state)]
-    for c in w:
-        backend.append_letter(state, c)
-        verts.append(backend.render(state))
+    w = backend.geodesic_word(backend.mul(backend.inv(u), v))
+    verts = path_from_word(backend, u, w).vertices
     points = []
     for i, vert in enumerate(verts):
         points.append(("v", vert, None))
@@ -324,14 +326,10 @@ def _skip_scan(backend, u: str, qv: list[str], r: int):
     m = len(qv)
     j, floor, prev = 0, None, None
     while j < m:
-        try:
-            d = backend.dist(u, qv[j])
-        except BudgetExceeded:
-            # a length n that is not exact certifies a distance above n
-            d = backend.length(inverse_word(u) + qv[j])[0] + 1
-            if d <= r:
-                raise
+        d, exc = _dist_or_bound(backend, u, qv[j])
         if d <= r:
+            if exc is not None:
+                raise exc
             return j, None
         if prev is not None:
             pj, pd = prev
@@ -416,12 +414,21 @@ def neighborhood_profile(p: PathInGraph, q: PathInGraph, r: int, backend) -> lis
 
 
 def hausdorff_distance(p: PathInGraph, q: PathInGraph, backend) -> int:
-    """Max over vertices of either path of the distance to the other path."""
+    """Max over vertices of either path of the distance to the other path.
+
+    Beyond the backend's budget a distance is only a certified lower bound.
+    A vertex's minimum is still exact when an exact distance is <= every
+    bound; otherwise BudgetExceeded is raised."""
 
     def directed(a: PathInGraph, b: PathInGraph) -> int:
         worst = 0
         for u in a.vertices:
-            worst = max(worst, min(backend.dist(u, v) for v in b.vertices))
+            # on a tie the exact candidate sorts first
+            d, exc = min((_dist_or_bound(backend, u, v) for v in b.vertices),
+                         key=lambda c: (c[0], c[1] is not None))
+            if exc is not None:
+                raise exc
+            worst = max(worst, d)
         return worst
 
     return max(directed(p, q), directed(q, p))

@@ -3,7 +3,7 @@
 import random
 
 from .fourgon import FourGon
-from .geometry import geodesic_word, path_from_word
+from .geometry import path_from_word
 
 
 def random_word(backend, rng: random.Random, max_len: int) -> str:
@@ -20,7 +20,7 @@ def random_fourgon(backend, rng: random.Random, top_label: str,
     p2 = path_from_word(backend, p1.end, top_label)
     p3 = path_from_word(backend, p2.end, random_word(backend, rng, max_len))
     back = backend.mul(backend.inv(p3.end), start)
-    p4 = path_from_word(backend, p3.end, geodesic_word(backend, back))
+    p4 = path_from_word(backend, p3.end, backend.geodesic_word(back))
     gon = FourGon(p1, p2, p3, p4)
     gon.validate(backend)
     return gon

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +109,29 @@ def test_constants(capsys, profile_path):
     assert rec["result"]["rows"][0] == {"r": 0, "eps": "24", "K": 48, "F": 163,
                                         "f": "180", "k": 2}
     assert rec["profile"]["mu"]["provenance"] == "user-supplied"
+
+
+def _without(path):
+    """PROFILE with the key at path (a tuple of keys and list indices) removed."""
+    data = json.loads(json.dumps(PROFILE))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return data
+
+
+@pytest.mark.parametrize("path", [("delta",), ("tau",), ("mu",), ("mu", "value"),
+                                  ("mu", "provenance"), ("acyl", 1, "eps"),
+                                  ("acyl", 0, "R"), ("acyl", 0, "N")],
+                         ids=lambda path: ".".join(map(str, path)))
+def test_constants_profile_missing_key(capsys, tmp_path, path):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(_without(path)))
+    assert main(["constants", "--profile", str(profile)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert repr(path[-1]) in err
 
 
 def test_fourgon_selfcheck(capsys):
@@ -219,3 +245,20 @@ def test_genus2_golden(capsys, tmp_path, argv, code, result, certificate):
     rec = json.loads(out) if out else {}
     assert rec.get("result") == result
     assert rec.get("certificate") == certificate
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples(capsys, tmp_path, monkeypatch):
+    # every command of README's CLI block, run beside README's profile JSON
+    text = README.read_text(encoding="utf-8")
+    cli_block = re.search(r"^## CLI$.*?^```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    profile = re.search(r"^### Profile JSON$.*?^```json\n(.*?)^```", text, re.M | re.S).group(1)
+    (tmp_path / "profile.json").write_text(profile)
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line) for line in cli_block.splitlines()]
+    assert len(commands) == 11 and all(argv[0] == "periodlines" for argv in commands)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        capsys.readouterr()

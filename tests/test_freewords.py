@@ -1,3 +1,6 @@
+import itertools
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +16,7 @@ from periodlines.freewords import (
     overlap_root,
     rotate,
 )
+from periodlines.words import primitive_root
 
 LETTERS = "abAB"
 WORDS = st.text(alphabet=LETTERS, max_size=12)
@@ -137,3 +141,81 @@ def test_free_commensurate_detects_conjugate_powers(a, conj, k):
     res = free_commensurate(a, b)
     assert res is not None
     _verify_commensurate(a, b, *res)
+
+
+# Reference copies of the first overlap_root (a scan of every relative offset
+# of the two lines, in both orientations of b) and free_commensurate (a loop
+# over every rotation); the derived versions must agree with them exactly.
+
+def _reference_powers_match(u, v, length):
+    return (u * (length // len(u) + 1))[:length] == (v * (length // len(v) + 1))[:length]
+
+
+def reference_overlap_root(a, b):
+    length = len(a) + len(b)
+    for oriented in (b, inverse_word(b)):
+        for i in range(len(a)):
+            ra = rotate(a, i)
+            for j in range(len(b)):
+                rb = rotate(oriented, j)
+                if _reference_powers_match(ra, rb, length):
+                    c, exp_a = primitive_root(ra)
+                    exp_b = len(b) // len(c)
+                    if oriented is b:
+                        return (c, i, j, exp_a, exp_b)
+                    target = inverse_word(c) * exp_b
+                    for sb in range(len(b)):
+                        if rotate(b, sb) == target:
+                            return (c, i, sb, exp_a, -exp_b)
+    return None
+
+
+def reference_free_commensurate(a, b):
+    ra, rb = free_reduce(a), free_reduce(b)
+    ua, core_a = cyclic_reduce(ra)
+    ub, core_b = cyclic_reduce(rb)
+    pa, ka = primitive_root(core_a)
+    pb, kb = primitive_root(core_b)
+    for sign in (1, -1):
+        pb_oriented = pb if sign == 1 else inverse_word(pb)
+        if len(pb_oriented) != len(pa):
+            continue
+        for i in range(len(pb_oriented)):
+            if rotate(pb_oriented, i) == pa:
+                g = free_reduce(ub + pb_oriented[:i] + inverse_word(ua))
+                d = gcd(ka, kb)
+                return g, kb // d, sign * (ka // d)
+    return None
+
+
+def _assert_matches_references(a, b):
+    res = overlap_root(a, b)
+    got = None if res is None else (res.c, res.shift_a, res.shift_b, res.exp_a, res.exp_b)
+    assert got == reference_overlap_root(a, b), (a, b)
+    assert free_commensurate(a, b) == reference_free_commensurate(a, b), (a, b)
+
+
+def test_overlap_root_matches_reference_exhaustive():
+    words = [w for n in range(1, 5) for w in map("".join, itertools.product(LETTERS, repeat=n))
+             if is_cyclically_reduced(w)]
+    assert len(words) == 128
+    for a in words:
+        for b in words:
+            _assert_matches_references(a, b)
+
+
+CYCLIC_ROOTS = st.text(alphabet=LETTERS, min_size=1, max_size=12).filter(is_cyclically_reduced)
+
+
+@given(CYCLIC_ROOTS, st.integers(1, 3), st.integers(1, 3), st.integers(0, 35),
+       st.integers(0, 35), st.booleans(), CYCLIC_ROOTS, WORDS)
+def test_overlap_root_matches_reference_on_root_powers(root, ka, kb, i, j, inverse, other, conj):
+    # a and b are rotations of powers of one root, b possibly of its
+    # inverse; the unrelated word checks the negative answers too, and the
+    # conjugate of a the free_commensurate conjugators
+    a = rotate(root * ka, i)
+    b = rotate((inverse_word(root) if inverse else root) * kb, j)
+    _assert_matches_references(a, b)
+    _assert_matches_references(a, other)
+    a_conj = free_reduce(conj + a + inverse_word(conj))
+    assert free_commensurate(a_conj, b) == reference_free_commensurate(a_conj, b)

@@ -19,7 +19,6 @@ from periodlines.geometry import (
     acylindricity_profile,
     classify_element,
     estimate_delta,
-    geodesic_word,
     hausdorff_distance,
     injectivity_radius_estimate,
     neighborhood_contains,
@@ -75,8 +74,10 @@ def test_periodic_line_rejects_trivial_period():
 
 
 def test_geodesic_word():
-    assert geodesic_word(FREE, "aBbA") == ""
-    assert geodesic_word(FP, "yyx") == "Yx"
+    assert FREE.geodesic_word("aBbA") == ""
+    assert FP.geodesic_word("yyx") == "Yx"
+    with pytest.raises(BudgetExceeded, match="geodesic unavailable at budget"):
+        DEHN.geodesic_word("aaaaa")
 
 
 def test_quasi_geodesic_check_geodesic_passes():
@@ -91,6 +92,16 @@ def test_quasi_geodesic_check_backtrack_fails():
     assert violations
     # with a huge eps the same path passes
     assert quasi_geodesic_check(p, QuasiParams(Fraction(1), Fraction(10)), FREE) == []
+
+
+def test_quasi_geodesic_check_dehn_beyond_budget():
+    # d(v_0, v_5) = 5 and d(v_0, v_6) = 6 lie beyond the radius-4 budget,
+    # where a distance is only certified > 4.  That bound meets the
+    # threshold 6/1 - 1, but not 6/1 - 0.
+    p = path_from_word(DEHN, "", "aaaaaa")
+    assert quasi_geodesic_check(p, QuasiParams(Fraction(1), Fraction(1)), DEHN) == []
+    with pytest.raises(BudgetExceeded):
+        quasi_geodesic_check(p, QuasiParams(Fraction(1), Fraction(0)), DEHN)
 
 
 def test_estimate_delta_free_is_zero():
@@ -275,7 +286,7 @@ def line_pairs(draw, backend):
         lambda w: not backend.is_identity(w))
 
     def line(x, a):
-        la = len(geodesic_word(backend, a))
+        la = len(backend.geodesic_word(a))
         periods = draw(st.integers(-(-20 // la), 100 // la))
         n_min = draw(st.integers(-periods, 0))
         return periodic_line(backend, x, a, n_min, n_min + periods)
@@ -350,3 +361,56 @@ def test_hausdorff_distance():
     assert hausdorff_distance(p, q, FREE) == 0
     far = path_from_word(FREE, "bb", "ab")
     assert hausdorff_distance(p, far, FREE) > 0
+
+
+def test_hausdorff_distance_dehn_beyond_budget():
+    # On genus 2 a distance beyond the radius-4 budget is certified > 4, so
+    # a vertex's minimum is exact iff some vertex of the other path is
+    # within 4.  Where every vertex has one, the answer must match a
+    # radius-5 backend; anywhere else it must raise.
+    dehn5 = DehnBackend(SURFACE_GENUS2, max_radius=5)
+    rng = random.Random(0)
+    ball = sorted(DEHN.ball(2))
+
+    def walk():
+        word = "".join(rng.choice(DEHN.letters) for _ in range(2))
+        return path_from_word(DEHN, rng.choice(ball), word)
+
+    def covered(a, b):
+        return all(any(DEHN.length(inverse_word(u) + v)[1] == "exact" for v in b.vertices)
+                   for u in a.vertices)
+
+    answered = 0
+    for _ in range(200):
+        p, q = walk(), walk()
+        if covered(p, q) and covered(q, p):
+            assert hausdorff_distance(p, q, DEHN) == hausdorff_distance(p, q, dehn5)
+            answered += 1
+        else:
+            with pytest.raises(BudgetExceeded):
+                hausdorff_distance(p, q, DEHN)
+    assert 0 < answered < 200
+
+
+class _BudgetedTree(FreeBackend):
+    """free:2 whose distances above 2 are only certified > 1, so a lower
+    bound can tie an exact distance."""
+
+    def dist(self, u, v):
+        d = super().dist(u, v)
+        if d > 2:
+            raise BudgetExceeded("beyond the test budget")
+        return d
+
+    def length(self, g):
+        n, cert = super().length(g)
+        return (n, cert) if n <= 2 else (1, "lower_bound(1)")
+
+
+def test_hausdorff_distance_exact_candidate_wins_tie():
+    # d("abb", "") = 3 is certified only as >= 2, which ties the exact
+    # d("abb", "a") = 2: the minimum is exact, and so is d("", "ab") = 2
+    tree = _BudgetedTree(2)
+    p = path_from_word(tree, "", "a")
+    q = path_from_word(tree, "ab", "b")
+    assert hausdorff_distance(p, q, tree) == hausdorff_distance(p, q, FREE) == 2
