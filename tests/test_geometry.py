@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -30,12 +31,13 @@ from periodlines.geometry import (
     shortest_conjugate,
     slimness,
     stable_norm_estimate,
-    _point_dist,
-    _side_points,
 )
+from slimness_reference import slimness_reference
 
 FREE = FreeBackend(2)
 FP = FreeProductBackend((2, 3))
+FP33 = FreeProductBackend((3, 3))
+FP22 = FreeProductBackend((2, 2))
 DEHN = DehnBackend(SURFACE_GENUS2)
 
 
@@ -112,40 +114,71 @@ def test_estimate_delta_free_is_zero():
 
 def test_estimate_delta_fp_positive():
     # the triangle y, yy has positive slimness via edge midpoints
-    val, cert = estimate_delta(FP, 2)
-    assert val == Fraction(1, 2)
+    for radius in (2, 3):
+        val, cert = estimate_delta(FP, radius)
+        assert val == Fraction(1, 2)
+        assert cert == f"lower_bound(exhaustive on ball({radius}))"
 
 
-def _point_dist_reference(dist, p, q):
-    """The first point distance, summing Fractions."""
-    kp, a1, a2 = p
-    kq, b1, b2 = q
-    if kp == "v" and kq == "v":
-        return Fraction(dist(a1, b1))
-    if kp == "v":
-        return Fraction(min(dist(a1, b1), dist(a1, b2))) + Fraction(1, 2)
-    if kq == "v":
-        return Fraction(min(dist(a1, b1), dist(a2, b1))) + Fraction(1, 2)
-    if {a1, a2} == {b1, b2}:
-        return Fraction(0)
-    return Fraction(min(dist(x, y) for x in (a1, a2) for y in (b1, b2))) + 1
+def test_estimate_delta_genus2():
+    # ball(2) is a tree (girth 8), so triangles on ball(1) are tripods; on
+    # ball(2) some side-to-side distance lies beyond the radius-4 budget
+    assert estimate_delta(DEHN, 1) == (0, "lower_bound(exhaustive on ball(1))")
+    with pytest.raises(BudgetExceeded, match=r"^distance not certified within radius 4$"):
+        estimate_delta(DehnBackend(SURFACE_GENUS2), 2, seed=0)
 
 
-@pytest.mark.parametrize("backend", [FREE, FP], ids=["free", "zmzn"])
+def test_estimate_delta_sampled_matches_reference():
+    val, cert = estimate_delta(FP33, 3, max_triangles=40, seed=5)
+    assert cert == "lower_bound(sampled 40 triangles on ball(3), seed=5)"
+    rng = random.Random(5)
+    elems = list(FP33.ball(3))
+    tris = [rng.sample(elems, 3) for _ in range(40)]
+    dist = functools.lru_cache(maxsize=None)(FP33.dist)
+    assert val == max(slimness_reference(FP33, tri, dist) for tri in tris)
+
+
+@pytest.mark.parametrize("backend", [FREE, FP, FP33, FP22], ids=["free", "zmzn", "zmzn33", "zmzn22"])
 def test_slimness_matches_fraction_reference(backend):
     rng = random.Random(8)
-    elems = list(backend.ball(3))
-    for _ in range(50):
+    elems = list(backend.ball(4))
+    dist = functools.lru_cache(maxsize=None)(backend.dist)
+    for _ in range(60):
+        # repeated corners give degenerate sides of one vertex
+        tri = rng.choices(elems, k=3)
+        assert slimness(backend, tri) == slimness_reference(backend, tri, dist), tri
+
+
+def test_slimness_matches_reference_dehn():
+    # beyond the radius-4 budget both raise: they ask for the same distances
+    rng = random.Random(9)
+    elems = list(DEHN.ball(2))
+    dist = functools.lru_cache(maxsize=None)(DEHN.dist)
+    raised = 0
+    for _ in range(800):
         tri = rng.sample(elems, 3)
-        sides = [_side_points(backend, tri[i], tri[(i + 1) % 3]) for i in range(3)]
-        points = [p for side in sides for p in side]
-        for p in points:
-            for q in points:
-                assert _point_dist(backend.dist, p, q) == _point_dist_reference(backend.dist, p, q)
-        worst = max(min(_point_dist_reference(backend.dist, p, q)
-                        for q in sides[(i + 1) % 3] + sides[(i + 2) % 3])
-                    for i in range(3) for p in sides[i])
-        assert slimness(backend, tri) == worst
+        try:
+            expected = slimness_reference(DEHN, tri, dist)
+        except BudgetExceeded:
+            raised += 1
+            with pytest.raises(BudgetExceeded):
+                slimness(DEHN, tri)
+        else:
+            assert slimness(DEHN, tri) == expected, tri
+    assert 0 < raised < 800
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([FREE, FP]), st.text("abABxyY", max_size=12),
+       st.fractions(min_value=1, max_value=5, max_denominator=7),
+       st.fractions(min_value=0, max_value=6, max_denominator=7))
+def test_quasi_geodesic_check_matches_fraction_form(backend, word, kappa, eps):
+    word = "".join(c for c in word if c in backend.letters)
+    p = path_from_word(backend, "", word)
+    expected = [(i, j, d) for i in range(len(p.vertices)) for j in range(i + 1, len(p.vertices))
+                for d in [backend.dist(p.vertices[i], p.vertices[j])]
+                if Fraction(d) < Fraction(j - i) / kappa - eps]
+    assert quasi_geodesic_check(p, QuasiParams(kappa, eps), backend) == expected
 
 
 def test_stable_norm_examples():
