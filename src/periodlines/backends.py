@@ -11,12 +11,14 @@ code they share and every backend-specific decision the geometry and the
 harness need.  A length certificate other than "exact" means |g| > n, and
 dist is exact or raises BudgetExceeded.
 
-Every backend also keeps mutable path states: parse_state(w) builds one,
-append_letter(state, c) multiplies it by a letter on the right in place,
-and render(state) gives back a word.  len(parse_state(w)) is never less
-than the word length |w| of the element w.  It equals |w| on the free and
-free product backends; on the Dehn backend a state is a freely reduced
-word, which can be longer than a geodesic.
+Every backend also keeps mutable path states, and on every backend a
+state is a stack of letters: parse_state(w) builds one, append_letter(state,
+c) multiplies it by a letter on the right in place, and render(state) joins
+it back into a word.  len(parse_state(w)) is never less than the word
+length |w| of the element w.  It equals |w| on the free and free product
+backends, whose stacks hold the normal form (one letter per syllable on
+the free product); on the Dehn backend a state is a freely reduced word,
+which can be longer than a geodesic.
 
 The Dehn backend reduces words in real time, one left-to-right stack pass
 per word (Domanski-Anshel 1985; Holt 2000).  Its ball of certified
@@ -64,8 +66,9 @@ class _Backend:
 
     Arithmetic: normal_form, mul, inv, equal, is_identity, nf_exact.
     Metric: length(g) -> (n, certificate), dist(u, v) and geodesic_word(g)
-    (exact, or BudgetExceeded), ball(radius).  Path states:
-    parse_state, append_letter, render (a free stack of letters here).
+    (exact, or BudgetExceeded), ball(radius).  Path states are stacks of
+    letters on every backend: parse_state, append_letter (free cancellation
+    here; a backend with torsion overrides both), render (a join).
 
     Capabilities:
     - conjugacy_core(g): (conj, core) exactly, or None where the backend
@@ -194,12 +197,8 @@ class FreeBackend(_Backend):
     def __init__(self, rank: int):
         if not 1 <= rank <= 26:
             raise BackendError(f"rank must be in 1..26, got {rank}")
-        self.rank = rank
         lowers = [chr(ord("a") + i) for i in range(rank)]
         super().__init__([c for low in lowers for c in (low, low.upper())])
-
-    def describe(self) -> str:
-        return f"free:{self.rank}"
 
     def normal_form(self, w: str) -> str:
         return self._free_reduce(w)
@@ -224,12 +223,6 @@ class FreeBackend(_Backend):
         return {"centralizer_member": member, "primitive_root": c}
 
 
-@dataclass(frozen=True)
-class _Syllable:
-    factor: int
-    exp: int
-
-
 class FreeProductBackend(_Backend):
     """Free product of two finite cyclic groups of orders 2 or 3.
 
@@ -238,74 +231,65 @@ class FreeProductBackend(_Backend):
     factor 1 uses 'y'; for an order-3 factor the uppercase letter is the
     inverse (the square), for an order-2 factor the letter is self-inverse
     and the uppercase form is accepted as an alias.
+
+    A path state is the stack of canonical letters of the normal form, one
+    letter per syllable.  A letter read onto the stack merges with the
+    last one through the product table of same-factor letter pairs.
     """
 
     elliptic_core_len = 1  # a single syllable lies in a finite factor
-    _BASES = "xy"
 
     def __init__(self, orders: tuple[int, int] = (2, 3)):
         if len(orders) != 2 or any(o not in (2, 3) for o in orders):
             raise BackendError("orders must be a pair drawn from {2, 3}")
         self.orders = tuple(orders)
         letters = []
-        self._mergeable = []
         self._aliases = ""
-        for i, o in enumerate(self.orders):
-            base = self._BASES[i]
-            letters.append(base)
+        # canonical letter of each input letter, and the product of each
+        # same-factor pair of canonical letters ("" where they cancel)
+        self._canonical: dict[str, str] = {}
+        self._product: dict[str, str] = {}
+        for base, o in zip("xy", self.orders):
+            up = base.upper()
             if o == 3:
-                letters.append(base.upper())
+                letters += [base, up]
+                self._canonical.update({base: base, up: up})
+                self._product.update({base + base: up, base + up: "",
+                                      up + base: "", up + up: base})
             else:
-                self._aliases += base.upper()
-            both = base + base.upper()
-            self._mergeable += [c + d for c in both for d in both]
+                letters.append(base)
+                self._aliases += up
+                self._canonical.update({base: base, up: base})
+                self._product[base + base] = ""
         super().__init__(letters, self._aliases)
 
-    def describe(self) -> str:
-        return "zmzn:" + ",".join(str(o) for o in self.orders)
-
-    def _letter_syllable(self, c: str) -> _Syllable:
-        low = c.lower()
-        if low not in self._BASES[: len(self.orders)]:
-            raise BackendError(f"letter {c!r} not in generating set")
-        factor = self._BASES.index(low)
-        order = self.orders[factor]
-        exp = 1 if c.islower() else order - 1
-        return _Syllable(factor, exp % order)
-
-    def parse_state(self, w: str) -> list[_Syllable]:
-        state: list[_Syllable] = []
+    def parse_state(self, w: str) -> list[str]:
+        state: list[str] = []
         for c in w:
             self.append_letter(state, c)
         return state
 
-    def append_letter(self, state: list[_Syllable], c: str) -> None:
-        s = self._letter_syllable(c)
-        if s.exp == 0:
-            return
-        if state and state[-1].factor == s.factor:
-            exp = (state[-1].exp + s.exp) % self.orders[s.factor]
-            state.pop()
-            if exp:
-                state.append(_Syllable(s.factor, exp))
+    def append_letter(self, state: list[str], c: str) -> None:
+        try:
+            c = self._canonical[c]
+        except KeyError:
+            raise BackendError(f"letter {c!r} not in generating set") from None
+        merged = self._product.get(state[-1] + c) if state else None
+        if merged is None:
+            state.append(c)
+        elif merged:
+            state[-1] = merged
         else:
-            state.append(s)
-
-    def render(self, state: list[_Syllable]) -> str:
-        out = []
-        for s in state:
-            base = self._BASES[s.factor]
-            out.append(base if s.exp == 1 else base.upper())
-        return "".join(out)
+            state.pop()
 
     def normal_form(self, w: str) -> str:
         # canonical words have no adjacent same-factor letters and no
         # uppercase alias of an order-2 generator
         if self._letterset.issuperset(w) and \
                 not any(c in w for c in self._aliases) and \
-                not any(pair in w for pair in self._mergeable):
+                not any(pair in w for pair in self._product):
             return w
-        return self.render(self.parse_state(w))
+        return "".join(self.parse_state(w))
 
     def dist(self, u: str, v: str) -> int:
         # strip the common syllable prefix of the canonical forms; at the
@@ -442,9 +426,6 @@ class DehnBackend(_Backend):
         self._index: dict[str, int] = {"": 0}
         self._layer_start: list[int] = [0, 1]
         self._buckets: dict[tuple, list[int]] = {(self._bucket_key(""), 0): [0]}
-
-    def describe(self) -> str:
-        return "dehn:" + ";".join(self.presentation.relators)
 
     def _abelian_vector(self, w: str) -> tuple:
         return tuple(w.count(g) - w.count(g.upper()) for g in self.presentation.generators)

@@ -45,7 +45,6 @@ class TheoremInstance:
     y: str
     r: int
     max_exponent: int = 8
-    max_window: int = 64
 
 
 def _require_loxodromic_shortest(backend, g: str, name: str) -> None:
@@ -57,14 +56,6 @@ def _require_loxodromic_shortest(backend, g: str, name: str) -> None:
         if not cert.startswith("exact"):
             msg += f" (certificate {cert})"
         raise HypothesisError(msg)
-
-
-def _power(backend, g: str, n: int) -> str:
-    base = g if n >= 0 else backend.inv(g)
-    out = ""
-    for _ in range(abs(n)):
-        out = backend.mul(out, base)
-    return out
 
 
 def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
@@ -134,37 +125,39 @@ def _witness_search(backend, a: str, b: str, x: str, y: str, max_exponent: int):
     return None
 
 
-def _b_window(backend, inst: TheoremInstance, lo_phase: int, hi_phase: int):
+def _b_window(backend, a: str, b: str, y: str, r: int, lo_phase: int, hi_phase: int):
     """Window of L(y, b) wide enough to cover the a-phase range
     [lo_phase, hi_phase] of L(x, a) plus slack r on both sides.  The window
     is symmetric so that b running against a's orientation is covered too."""
-    la = backend.length(inst.a)[0]
-    lb = backend.length(inst.b)[0]
-    slack = (inst.r + la) // max(1, lb) + 2
+    la = backend.length(a)[0]
+    lb = backend.length(b)[0]
+    slack = (r + la) // max(1, lb) + 2
     lo = (lo_phase * la) // max(1, lb) - slack
     hi = -((-hi_phase * la) // max(1, lb)) + slack
     lo, hi = min(lo, -hi), max(hi, -lo)
-    return periodic_line(backend, inst.y, inst.b, lo, hi)
+    return periodic_line(backend, y, b, lo, hi)
 
 
-def weak_theorem_check(inst: TheoremInstance, profile=None,
-                       min_periods: int | None = None) -> HarnessResult:
-    """Overlap hypothesis at parameter r with enough a-periods implies a
-    commensurability witness (x^-1 y) b^s (y^-1 x) = a^t."""
+def _require_theorem_hypotheses(inst: TheoremInstance) -> None:
     backend = inst.backend
     _require_loxodromic_shortest(backend, inst.a, "a")
     _require_loxodromic_shortest(backend, inst.b, "b")
     if backend.length(inst.a)[0] < backend.length(inst.b)[0]:
         raise HypothesisError("|a| must be >= |b|")
-    if min_periods is None:
-        if profile is None:
-            raise HypothesisError("need a profile or an explicit period count")
-        min_periods = F_of_r(profile, inst.r)
+
+
+def _overlap_witness(inst: TheoremInstance, r: int, first_phase: int,
+                     min_periods: int) -> HarnessResult:
+    """The step both theorems share: if phases [first_phase, first_phase + n]
+    of L(x, a), n = max(min_periods, 2), lie in the r-neighborhood of the
+    L(y, b) window over the same phases, search for the witness."""
+    backend = inst.backend
     n_periods = max(min_periods, 2)
-    details = {"r": inst.r, "periods": n_periods, "required_periods": min_periods}
-    p = periodic_line(backend, inst.x, inst.a, 0, n_periods)
-    q = _b_window(backend, inst, 0, n_periods)
-    if not neighborhood_contains(p, q, inst.r, backend):
+    details = {"r": r, "periods": n_periods, "required_periods": min_periods}
+    lo, hi = first_phase, first_phase + n_periods
+    p = periodic_line(backend, inst.x, inst.a, lo, hi)
+    q = _b_window(backend, inst.a, inst.b, inst.y, r, lo, hi)
+    if not neighborhood_contains(p, q, r, backend):
         return HarnessResult("hypothesis-failed", None,
                              {**details, "reason": "a-line window not in r-neighborhood of b-line"})
     witness = _witness_search(backend, inst.a, inst.b, inst.x, inst.y, inst.max_exponent)
@@ -173,11 +166,25 @@ def weak_theorem_check(inst: TheoremInstance, profile=None,
     return HarnessResult("witness", witness, details)
 
 
+def weak_theorem_check(inst: TheoremInstance, profile=None,
+                       min_periods: int | None = None) -> HarnessResult:
+    """Overlap hypothesis at parameter r with enough a-periods implies a
+    commensurability witness (x^-1 y) b^s (y^-1 x) = a^t."""
+    _require_theorem_hypotheses(inst)
+    if min_periods is None:
+        if profile is None:
+            raise HypothesisError("need a profile or an explicit period count")
+        min_periods = F_of_r(profile, inst.r)
+    return _overlap_witness(inst, inst.r, 0, min_periods)
+
+
 def main_theorem_check(inst: TheoremInstance, profile=None,
                        sharp_free: bool = False) -> HarnessResult:
-    """Full overlap theorem: trim the line window and delegate to the weak
-    version at the base overlap parameter.  With sharp_free (free backend,
-    r = 0) the sharp two-period threshold is used instead of the pipeline."""
+    """Full overlap theorem: trim k periods off each end of the f(r)-period
+    window of L(x, a) and run the weak version's step at the base overlap
+    parameter on the trimmed phases [k, k + trimmed].  With sharp_free (free
+    backend, r = 0) the sharp two-period threshold is used instead of the
+    pipeline."""
     backend = inst.backend
     if sharp_free:
         if backend.sharp_periods is None:
@@ -197,12 +204,8 @@ def main_theorem_check(inst: TheoremInstance, profile=None,
         raise AcylUnavailable("inconsistent profile: trimming eats too many periods")
     details = {"f(r)": str(f(inst.r)), "k": k, "r_base": r_base,
                "trimmed_periods": trimmed}
-    # shift the window start by k periods: the trimmed path is a subpath of
-    # L(x a^k, a) with trimmed period count
-    x_shift = backend.mul(backend.normal_form(inst.x), _power(backend, inst.a, k))
-    inner = TheoremInstance(backend, inst.a, inst.b, x_shift, inst.y, r_base,
-                            inst.max_exponent, max(inst.max_window, trimmed))
-    res = weak_theorem_check(inner, profile, min_periods=trimmed)
+    _require_theorem_hypotheses(inst)
+    res = _overlap_witness(inst, r_base, k, trimmed)
     res.details.update(details)
     return res
 
@@ -241,10 +244,9 @@ def empirical_period_threshold(backend, a: str, b: str, x: str, y: str, r: int,
     succeeds; None when nothing fires up to max_periods."""
     _require_loxodromic_shortest(backend, a, "a")
     _require_loxodromic_shortest(backend, b, "b")
-    inst = TheoremInstance(backend, a, b, x, y, r, max_exponent)
     # An m-period window is contained iff each of its m one-period pieces is,
     # so one profile of the widest window determines every (m, offset) case.
-    q = _b_window(backend, inst, -max_periods, 2 * max_periods)
+    q = _b_window(backend, a, b, y, r, -max_periods, 2 * max_periods)
     p = periodic_line(backend, x, a, -max_periods, 2 * max_periods)
     vertex_ok = neighborhood_profile(p, q, r, backend)
     la = backend.length(a)[0]

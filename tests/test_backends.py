@@ -19,6 +19,7 @@ from periodlines.backends import (
 )
 from periodlines.freewords import free_reduce, inverse_word, is_cyclically_reduced
 from periodlines.words import primitive_root
+from zmzn_reference import zmzn_normal_form
 
 
 def test_make_backend_parses_specs():
@@ -162,6 +163,27 @@ class TestFreeProduct:
         for _ in range(200):
             x, y, z = (rng.choice(elems) for _ in range(3))
             assert self.fp.mul(self.fp.mul(x, y), z) == self.fp.mul(x, self.fp.mul(y, z))
+
+
+@pytest.mark.parametrize("orders", [(2, 3), (3, 3), (2, 2), (3, 2)])
+def test_free_product_states_match_exponent_sums(orders):
+    """Every word over xXyY up to length 6: normal_form, the state length
+    and the rendered state after each append_letter agree with the oracle,
+    and a letter outside the generating set is refused by name."""
+    fp = FreeProductBackend(orders)
+    for n in range(7):
+        for letters in itertools.product("xXyY", repeat=n):
+            w = "".join(letters)
+            nf = zmzn_normal_form(orders, w)
+            assert fp.normal_form(w) == nf, w
+            assert len(fp.parse_state(w)) == len(nf), w
+            state = fp.parse_state("")
+            for i, c in enumerate(w):
+                fp.append_letter(state, c)
+                assert fp.render(state) == zmzn_normal_form(orders, w[:i + 1]), w[:i + 1]
+    for call in (fp.normal_form, fp.parse_state, lambda w: fp.append_letter(["x"], w[-1])):
+        with pytest.raises(BackendError, match="^letter 'a' not in generating set$"):
+            call("yxa")
 
 
 def test_parse_presentation():

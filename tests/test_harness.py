@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from periodlines.backends import FreeBackend, FreeProductBackend
 from periodlines.constants import ConstantsProfile
+from periodlines.geometry import shortest_conjugate
 from periodlines.harness import (
     HypothesisError,
     TheoremInstance,
@@ -11,6 +14,7 @@ from periodlines.harness import (
     main_theorem_check,
     weak_theorem_check,
 )
+from zmzn_reference import zmzn_normal_form
 
 FREE = FreeBackend(2)
 FP = FreeProductBackend((2, 3))
@@ -88,6 +92,33 @@ def test_main_theorem_sharp_mode_guards():
     inst = TheoremInstance(FREE, "ab", "ab", "", "", 0)
     with pytest.raises(HypothesisError):
         main_theorem_check(inst, None)  # profile required outside sharp mode
+
+
+def _z2z3(w, n=1):
+    """w^n in Z/2*Z/3 by syllable arithmetic, without the backend."""
+    return zmzn_normal_form((2, 3), (w if n > 0 else w[::-1].swapcase()) * abs(n))
+
+
+def test_main_theorem_ratio3_trims_both_lines():
+    """|a|/|b| = 3 with the acceptance-10 profile, built as acceptance 10
+    builds its instances: b is the shortest conjugate w^-1 c w of the period
+    word c, a = c^3, y = x w and r = max(1, |w|).  The trimmed phases
+    [k, k + trimmed] of L(x, a) must be compared with the b-line window over
+    the same phases; a window centred on phases [0, trimmed] misses the
+    last periods of the a-line."""
+    profile = ConstantsProfile.create(Fraction(1, 2), 2, 1, "user-supplied", {64: (70, 2)})
+    c, h, x = "xY", "yx", "y"
+    inner, b, _ = shortest_conjugate(FP, FP.mul(FP.mul(FP.inv(h), c), h))
+    w = FP.mul(h, inner)
+    y, r, a = FP.mul(x, w), max(1, len(w)), c * 3
+    assert len(a) == 3 * len(b)
+    res = main_theorem_check(TheoremInstance(FP, a, b, x, y, r), profile)
+    assert res.status == "witness", res.details
+    assert res.details["k"] >= 3 and res.details["r_base"] == 3
+    s, t = res.witness["s"], res.witness["t"]
+    assert s and t
+    u = _z2z3(_z2z3(x, -1) + y)
+    assert _z2z3(u + _z2z3(b, s) + _z2z3(u, -1)) == _z2z3(a, t)
 
 
 def test_commensurability_search_free_exact():
