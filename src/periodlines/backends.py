@@ -22,12 +22,16 @@ which can be longer than a geodesic.
 
 The Dehn backend reduces words in real time, one left-to-right stack pass
 per word (Domanski-Anshel 1985; Holt 2000).  Its ball of certified
-geodesics grows one BFS layer at a time, only as far as a call needs, and
-two words are compared for ball membership first by Greendlinger's lemma
-(Lyndon-Schupp, Combinatorial Group Theory, Ch. V, Sec. 4): after their
-common prefix and suffix are stripped, a difference shorter than the
-shortest relator is nontrivial, and one of exactly that length is trivial
-iff it is a symmetrized relator.
+geodesics grows one BFS layer at a time, only as far as a call needs.
+Ball membership rests on Greendlinger's lemma (Lyndon-Schupp,
+Combinatorial Group Theory, Ch. V, Sec. 4): after the common prefix and
+suffix of two freely reduced words are stripped, a difference shorter than
+the shortest relator is nontrivial, and one of exactly that length is
+trivial iff it is a symmetrized relator.  So a word u equals an element of
+layer |rho| - |u|, for rho a shortest relator, only if it is a prefix of a
+symmetrized relator completed by that element, which one index lookup per
+completion finds.  Only layers farther out are scanned, comparing u with
+each member of its bucket.
 """
 
 from dataclasses import dataclass
@@ -393,8 +397,12 @@ class DehnBackend(_Backend):
     as one left-to-right stack pass (Domanski-Anshel 1985; Holt 2000).
     Geodesic lengths and ShortLex canonical forms are certified only within
     a BFS ball of radius max_radius, grown one layer at a time as far as a
-    call needs.  Ball membership is decided by Greendlinger's lemma where it
-    applies (see _same_element) and by Dehn reduction elsewhere.
+    call needs.  Ball membership is an index lookup where Greendlinger's
+    lemma settles it (see _member), and a bucket scan elsewhere, which
+    compares words by the lemma where it applies (see _same_element) and by
+    Dehn reduction otherwise.  When max_radius is at most half the shortest
+    relator length, as for genus 2 at the default budget, growing the ball
+    never scans.
     """
 
     def __init__(self, presentation: Presentation, max_radius: int = 4):
@@ -415,6 +423,13 @@ class DehnBackend(_Backend):
             h = len(rho) // 2 + 1
             self._rules[rho[:h]] = inverse_word(rho[h:])
         self._rule_lengths = sorted({len(s) for s in self._rules})
+        # Completions: each nonempty prefix of a shortest symmetrized
+        # relator rho = s t maps to the words t^-1 (see _member).
+        self._completions: dict[str, list[str]] = {}
+        for rho in presentation.symmetrized():
+            if len(rho) == self._n_min:
+                for k in range(1, len(rho) + 1):
+                    self._completions.setdefault(rho[:k], []).append(inverse_word(rho[k:]))
         self._abelian_ok = all(
             self._abelian_vector(rel) == tuple([0] * len(presentation.generators))
             for rel in presentation.relators
@@ -510,14 +525,30 @@ class DehnBackend(_Backend):
     def _member(self, u: str, radius: int) -> int | None:
         """Index of the ball element of length <= radius equal to the
         freely reduced word u, or None.  Layers up to radius must be built.
-        A layer d with |u| + d below the shortest relator length can only
-        hold u itself, which the index finds."""
+
+        Let n be the shortest relator length.  A layer d with |u| + d < n
+        can hold only u itself, which the index finds.  By _same_element, u
+        equals an element v of layer n - |u| other than itself only if
+        u v^-1 is a symmetrized relator (a shared prefix or suffix would
+        leave a shorter, nonempty difference), so v is a completion of u
+        and the index decides that layer.  Only layers with |u| + d > n are
+        scanned.  At most one element equals u, so the order of the checks
+        does not change the answer.
+        """
         idx = self._index.get(u)
         if idx is not None:
             return idx
+        d = self._n_min - len(u)
+        if 0 <= d <= radius:
+            for v in self._completions.get(u, ()):
+                idx = self._index.get(v)
+                if idx is not None:
+                    return idx
+        if d >= radius:
+            return None
         key = self._bucket_key(u)
-        for d in range(max(0, self._n_min - len(u)), radius + 1):
-            for idx in self._buckets.get((key, d), ()):
+        for layer in range(max(0, d + 1), radius + 1):
+            for idx in self._buckets.get((key, layer), ()):
                 if self._same_element(u, self._canon[idx]):
                     return idx
         return None

@@ -81,8 +81,7 @@ def periodic_line(backend, x: str, a: str, n_min: int, n_max: int) -> PathInGrap
     start = backend.normal_form(x)
     if n_min != 0:
         step = wa if n_min > 0 else inverse_word(wa)
-        for _ in range(abs(n_min)):
-            start = backend.mul(start, step)
+        start = backend.mul(start, step * abs(n_min))
     path = path_from_word(backend, start, wa * (n_max - n_min))
     path.phase_indices = [i * len(wa) for i in range(n_max - n_min + 1)]
     path.period_element = backend.normal_form(a)

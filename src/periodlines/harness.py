@@ -48,9 +48,17 @@ class TheoremInstance:
 
 
 def _require_loxodromic_shortest(backend, g: str, name: str) -> None:
-    if classify_element(backend, g) != "loxodromic":
-        raise HypothesisError(f"{name} is not loxodromic")
-    _, core, cert = shortest_conjugate(backend, g)
+    # one conjugacy core decides both hypotheses where the backend gives
+    # one; otherwise classify before the bounded conjugator search
+    exact = backend.conjugacy_core(g)
+    if exact is None:
+        if classify_element(backend, g) != "loxodromic":
+            raise HypothesisError(f"{name} is not loxodromic")
+        _, core, cert = shortest_conjugate(backend, g)
+    else:
+        core, cert = exact[1], "exact"
+        if len(core) <= backend.elliptic_core_len:
+            raise HypothesisError(f"{name} is not loxodromic")
     if backend.length(core)[0] < backend.length(g)[0]:
         msg = f"{name} is not shortest in its conjugacy class"
         if not cert.startswith("exact"):

@@ -68,6 +68,33 @@ def test_periodic_line_phases():
     assert q.start == "BABA" and q.end == ""
 
 
+def _line_by_steps(backend, x, a, n_min, n_max):
+    """periodic_line as first written: the window start reached by |n_min|
+    multiplications by the period word, one at a time."""
+    wa = backend.geodesic_word(a)
+    start = backend.normal_form(x)
+    step = wa if n_min > 0 else inverse_word(wa)
+    for _ in range(abs(n_min)):
+        start = backend.mul(start, step)
+    return path_from_word(backend, start, wa * (n_max - n_min))
+
+
+@pytest.mark.parametrize("backend", [FREE, FP, FP33, DEHN], ids=["free", "fp23", "fp33", "dehn"])
+def test_periodic_line_start_in_one_product(backend):
+    rng = random.Random(5)
+    letters = "".join(backend.letters)
+    for _ in range(60):
+        x = "".join(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+        a = "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+        n_min = rng.randint(-12, 5)
+        n_max = n_min + rng.randint(1, 3)
+        if backend.is_identity(a):
+            continue
+        expected = _line_by_steps(backend, x, a, n_min, n_max)
+        line = periodic_line(backend, x, a, n_min, n_max)
+        assert (line.vertices, line.label) == (expected.vertices, expected.label), (x, a, n_min)
+
+
 def test_periodic_line_rejects_trivial_period():
     with pytest.raises(GeometryError):
         periodic_line(FREE, "", "aA", 0, 2)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from periodlines.backends import FreeBackend, FreeProductBackend
+from periodlines.backends import SURFACE_GENUS2, DehnBackend, FreeBackend, FreeProductBackend
 from periodlines.constants import ConstantsProfile
 from periodlines.geometry import shortest_conjugate
 from periodlines.harness import (
@@ -36,10 +36,26 @@ def test_lemma41_far_lines_fail_hypothesis():
 
 
 def test_lemma41_requires_shortest():
-    with pytest.raises(HypothesisError):
-        lemma41_check(FREE, "Bab", "", "", window=4, r=0)
-    with pytest.raises(HypothesisError):
-        lemma41_check(FP, "y", "", "", window=4, r=0)  # elliptic
+    dehn = DehnBackend(SURFACE_GENUS2)
+    for backend, b, msg in ((FREE, "Bab", "b is not shortest in its conjugacy class"),
+                            (FP, "y", "b is not loxodromic"),  # elliptic
+                            (FREE, "", "b is not loxodromic"),
+                            (dehn, "ab", "b is not loxodromic")):  # undecided
+        with pytest.raises(HypothesisError) as exc:
+            lemma41_check(backend, b, "", "", window=4, r=0)
+        assert str(exc.value) == msg
+
+    class CountingFree(FreeBackend):
+        cores = 0
+
+        def conjugacy_core(self, g):
+            self.cores += 1
+            return super().conjugacy_core(g)
+
+    # one conjugacy core decides both hypotheses on b
+    free = CountingFree(2)
+    assert lemma41_check(free, "ab", "", "ab", window=6, r=2).status == "witness"
+    assert free.cores == 1
 
 
 def test_lemma41_window_gate_with_profile():
