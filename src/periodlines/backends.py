@@ -18,7 +18,12 @@ it back into a word.  len(parse_state(w)) is never less than the word
 length |w| of the element w.  It equals |w| on the free and free product
 backends, whose stacks hold the normal form (one letter per syllable on
 the free product); on the Dehn backend a state is a freely reduced word,
-which can be longer than a geodesic.
+which can be longer than a geodesic.  state_dist(state) is |w| itself,
+exact or BudgetExceeded as dist: the stack's length where it holds the
+normal form, and a ball lookup of the rendered state on Dehn.  A state
+grown from parse_state("") along a path's label from its vertex v_i
+stands for v_i^-1 v_j, so it gives d(v_i, v_j) without rendering either
+vertex.
 
 The Dehn backend reduces words in real time, one left-to-right stack pass
 per word (Domanski-Anshel 1985; Holt 2000).  Its ball of certified
@@ -31,10 +36,14 @@ trivial iff it is a symmetrized relator.  So a word u equals an element of
 layer |rho| - |u|, for rho a shortest relator, only if it is a prefix of a
 symmetrized relator completed by that element, which one index lookup per
 completion finds.  Only layers farther out are scanned, comparing u with
-each member of its bucket.
+each member of its bucket: the elements of the layer on which every
+homomorphism to Z (a functional on exponent sums that vanishes on each
+relator) takes u's value.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .freewords import free_commensurate, free_reduce, inverse_word, is_cyclically_reduced
 from .words import primitive_root
@@ -72,7 +81,9 @@ class _Backend:
     Metric: length(g) -> (n, certificate), dist(u, v) and geodesic_word(g)
     (exact, or BudgetExceeded), ball(radius).  Path states are stacks of
     letters on every backend: parse_state, append_letter (free cancellation
-    here; a backend with torsion overrides both), render (a join).
+    here; a backend with torsion overrides both), render (a join), and
+    state_dist, the length of the element a state stands for (the stack's
+    length here; a backend whose stacks are not geodesics overrides it).
 
     Capabilities:
     - conjugacy_core(g): (conj, core) exactly, or None where the backend
@@ -167,6 +178,12 @@ class _Backend:
 
     def render(self, state: list[str]) -> str:
         return "".join(state)
+
+    def state_dist(self, state: list[str]) -> int:
+        """|g| for the element g a state stands for, which is d(v, v g) for
+        a state anchored at a vertex v: exact, or BudgetExceeded as dist.
+        A stack that holds the normal form, a geodesic, has that length."""
+        return len(state)
 
     def conjugacy_core(self, g: str) -> tuple[str, str] | None:
         """(conj, core) with conj^-1 g conj = core, core shortest in the
@@ -390,6 +407,35 @@ def verify_small_cancellation(p: Presentation, lambda_denominator: int) -> bool:
     return True
 
 
+def _integer_kernel(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """A basis of integer vectors phi of length n with phi . row = 0 for
+    every row: the rational null space by Gauss-Jordan elimination over
+    Fractions, one vector per free column, each scaled to integers."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(n):
+        k = len(pivots)
+        p = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[k], m[p] = m[p], m[k]
+        m[k] = [x / m[k][c] for x in m[k]]
+        for i in range(len(m)):
+            if i != k and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[k])]
+        pivots.append(c)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        phi = [Fraction(int(c == f)) for c in range(n)]
+        for row, c in enumerate(pivots):
+            phi[c] = -m[row][f]
+        scale = lcm(*(x.denominator for x in phi))
+        basis.append(tuple(int(x * scale) for x in phi))
+    return basis
+
+
 class DehnBackend(_Backend):
     """Group given by a C'(1/6) presentation.
 
@@ -430,12 +476,15 @@ class DehnBackend(_Backend):
             if len(rho) == self._n_min:
                 for k in range(1, len(rho) + 1):
                     self._completions.setdefault(rho[:k], []).append(inverse_word(rho[k:]))
-        self._abelian_ok = all(
-            self._abelian_vector(rel) == tuple([0] * len(presentation.generators))
-            for rel in presentation.relators
-        )
+        # Homomorphisms to Z: functionals on exponent-sum vectors that
+        # vanish on every relator.  Equal elements agree on each of them.
+        # Where every relator has exponent sums 0 they are the coordinates,
+        # and the key is the exponent-sum vector itself (None below).
+        vectors = [self._abelian_vector(rel) for rel in presentation.relators]
+        self._homs = None if not any(map(any, vectors)) else \
+            _integer_kernel(vectors, len(presentation.generators))
         # The ball: its elements in BFS order as ShortLex geodesics, the index
-        # of each, and (exponent sums, layer) buckets.  Layer d is
+        # of each, and (homomorphism values, layer) buckets.  Layer d is
         # _canon[_layer_start[d]:_layer_start[d + 1]].
         self._canon: list[str] = [""]
         self._index: dict[str, int] = {"": 0}
@@ -446,9 +495,12 @@ class DehnBackend(_Backend):
         return tuple(w.count(g) - w.count(g.upper()) for g in self.presentation.generators)
 
     def _bucket_key(self, w: str) -> tuple:
-        # Exponent sums are a conjugation-free invariant exactly when every
-        # relator abelianizes to zero; otherwise fall back to one bucket.
-        return self._abelian_vector(w) if self._abelian_ok else ()
+        """The values of the homomorphisms to Z at w, equal for equal
+        elements."""
+        v = self._abelian_vector(w)
+        if self._homs is None:
+            return v
+        return tuple(sum(f * x for f, x in zip(phi, v)) for phi in self._homs)
 
     def _push(self, stack: list[str], w: str) -> None:
         """Multiply the Dehn-reduced word on `stack` by w, in place.
@@ -623,6 +675,10 @@ class DehnBackend(_Backend):
         if idx is None:
             raise BudgetExceeded("geodesic unavailable at budget")
         return self._canon[idx]
+
+    def state_dist(self, state: list[str]) -> int:
+        # a freely reduced stack can be longer than a geodesic: look it up
+        return self.dist("", self.render(state))
 
     def conjugacy_core(self, g: str) -> None:
         # no cyclic Dehn reduction yet: callers fall back to bounded searches

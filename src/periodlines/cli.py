@@ -2,8 +2,9 @@
 machine-readable output.
 
 Exit codes: 0 success, 2 hypothesis failure / witness not found within
-bounds, 64 usage error, 1 runtime error (a bad backend, word or file, or a
-refused hypothesis such as an element that is not loxodromic).
+bounds, 64 usage error, 1 runtime error (a bad backend, word or file, a
+budget that runs out before a result is certified, or a refused hypothesis
+such as an element that is not loxodromic), with one `error:` line.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import time
 from fractions import Fraction
 
 from . import constants, freewords, geometry, harness, words
-from .backends import BackendError, make_backend
+from .backends import BackendError, BudgetExceeded, make_backend
 from .constants import ConstantsProfile, ProfileError
 from .fourgon import FourGon, compose, side_elements
 from .geometry import PathInGraph, path_from_word, periodic_line
@@ -417,7 +418,7 @@ def main(argv=None) -> int:
     args.start_time = time.perf_counter()
     try:
         return args.func(args)
-    except (BackendError, ValueError, OSError) as exc:
+    except (BackendError, BudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,6 +34,11 @@ def inverse_word(w: str) -> str:
 def free_reduce(w: str, rank: int | None = None) -> str:
     """Unique reduced word equal to w in the free group."""
     check_letters(w, rank)
+    return _reduce(w)
+
+
+def _reduce(w: str) -> str:
+    """free_reduce for a word whose letters are checked."""
     out: list[str] = []
     for c in w:
         if out and out[-1] == c.swapcase():
@@ -56,7 +61,11 @@ def is_cyclically_reduced(w: str) -> bool:
 def cyclic_reduce(w: str) -> tuple[str, str]:
     """Return (u, core) with free_reduce(w) = u * core * u^-1 and core
     cyclically reduced."""
-    r = free_reduce(w)
+    return _cyclic_split(free_reduce(w))
+
+
+def _cyclic_split(r: str) -> tuple[str, str]:
+    """cyclic_reduce for a reduced word r."""
     k = 0
     while len(r) - 2 * k >= 2 and r[k] == r[-1 - k].swapcase():
         k += 1
@@ -127,12 +136,15 @@ def free_commensurate(a: str, b: str) -> tuple[str, int, int] | None:
     or None exactly when a and b are not commensurable: that is, when the
     primitive root of a's cyclic core is no rotation of the root of b's, or
     of its inverse.  The first such rotation gives g.
+
+    Each input is checked and reduced once; the witness is verified by
+    reducing both sides of its equation.
     """
     ra, rb = free_reduce(a), free_reduce(b)
     if not ra or not rb:
         raise FreeWordError("torsion-free group: trivial element excluded")
-    ua, core_a = cyclic_reduce(ra)
-    ub, core_b = cyclic_reduce(rb)
+    ua, core_a = _cyclic_split(ra)
+    ub, core_b = _cyclic_split(rb)
     pa, ka = primitive_root(core_a)
     pb, kb = primitive_root(core_b)
     for sign in (1, -1):
@@ -145,12 +157,12 @@ def free_commensurate(a: str, b: str) -> tuple[str, int, int] | None:
             continue
         # pa = sigma^-1 pb_oriented sigma for sigma = pb_oriented[:i]
         sigma = pb_oriented[:i]
-        g = free_reduce(ub + sigma + inverse_word(ua))
+        g = _reduce(ub + sigma + inverse_word(ua))
         d = gcd(ka, kb)
         s, t = kb // d, sign * (ka // d)
-        check = free_reduce(inverse_word(g) + rb * t + g) if t > 0 else \
-            free_reduce(inverse_word(g) + inverse_word(rb) * (-t) + g)
-        if check != free_reduce(ra * s):
+        check = _reduce(inverse_word(g) + rb * t + g) if t > 0 else \
+            _reduce(inverse_word(g) + inverse_word(rb) * (-t) + g)
+        if check != _reduce(ra * s):
             raise RuntimeError("witness failed to verify")
         return g, s, t
     return None

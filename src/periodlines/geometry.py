@@ -52,6 +52,8 @@ class PathInGraph:
 
 
 def path_from_word(backend, start: str, word: str) -> PathInGraph:
+    # append_letter trusts its letter, and the label is read again later
+    backend.check_word(word)
     state = backend.parse_state(start)
     vertices = [backend.render(state)]
     for c in word:
@@ -105,18 +107,27 @@ def quasi_geodesic_check(path: PathInGraph, params: QuasiParams, backend) -> lis
     beyond the backend's budget passes when its certified lower bound meets
     the threshold, and raises BudgetExceeded otherwise.
 
-    With kappa = kn/kd and eps = en/ed, d < (j - i)/kappa - eps is
+    For each i one state, anchored at v_i, follows the label, and
+    backend.state_dist reads d(v_i, v_j) off it.  With kappa = kn/kd and
+    eps = en/ed, d < (j - i)/kappa - eps is
     kn * (d * ed + en) < (j - i) * kd * ed, tested in integers."""
     violations = []
-    verts = path.vertices
+    label = path.label
     kn, kd = params.kappa.numerator, params.kappa.denominator
     en, ed = params.eps.numerator, params.eps.denominator
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            d, exc = _dist_or_bound(backend, verts[i], verts[j])
+    for i in range(len(label) + 1):
+        state = backend.parse_state("")
+        for j in range(i + 1, len(label) + 1):
+            backend.append_letter(state, label[j - 1])
+            try:
+                d = backend.state_dist(state)
+            except BudgetExceeded:
+                # a length n that is not exact certifies a distance above n
+                bound = backend.length(backend.render(state))[0] + 1
+                if kn * (bound * ed + en) < (j - i) * kd * ed:
+                    raise
+                continue
             if kn * (d * ed + en) < (j - i) * kd * ed:
-                if exc is not None:
-                    raise exc
                 violations.append((i, j, d))
     return violations
 
@@ -324,34 +335,42 @@ def _skip_scan(backend, u: str, qv: list[str], r: int):
     hit and (None, floor) on a miss, where floor <= d(u, qv) comes from the
     probes: between consecutive probes at distances da, db that are L
     indices apart no vertex is nearer than ceil((da + db - L) / 2), and
-    past the last probe distances fall by at most 1 per index.  Each of
-    these steps holds for lower bounds too, so a probe beyond the backend's
-    budget counts as its certified lower bound, and raises BudgetExceeded
-    only when that bound is <= r.
+    past the last probe distances fall by at most 1 per index.  A miss
+    leaves floor > r.  Each of these steps holds for lower bounds too, so a
+    probe beyond the backend's budget counts as its certified lower bound.
+
+    A certified lower bound <= r decides nothing, and the scan goes on to
+    the next index: an exact distance <= r further on is still a hit, so an
+    exact candidate wins a tie with a bound.  Only when the scan ends
+    without a hit does the first such bound raise its BudgetExceeded.
     """
     m = len(qv)
-    j, floor, prev = 0, None, None
+    j, floor, prev, undecided = 0, None, None, None
     while j < m:
         d, exc = _dist_or_bound(backend, u, qv[j])
         if d <= r:
-            if exc is not None:
-                raise exc
-            return j, None
+            if exc is None:
+                return j, None
+            undecided = undecided or exc
+            j += 1
+            continue
         if prev is not None:
             pj, pd = prev
             bound = (pd + d - (j - pj) + 1) // 2
             floor = bound if floor is None else min(floor, bound)
         prev = (j, d)
         j += d - r
+    if undecided is not None:
+        raise undecided
     pj, pd = prev
     bound = pd - (m - 1 - pj)
     return None, bound if floor is None else min(floor, bound)
 
 
 def _neighborhood_flags(p: PathInGraph, q: PathInGraph, r: int, backend,
-                        stop_on_miss: bool) -> list[bool]:
-    """Per-vertex flags: flags[i] is True iff p.vertices[i] is within distance
-    r of some vertex of q.
+                        on_miss: str) -> tuple[list[bool], int]:
+    """Per-vertex flags and the final radius: flags[i] is True iff
+    p.vertices[i] is within distance r of some vertex of q.
 
     A window of backend states E_j = q_j^-1 p_i, for j within `half` of the
     last hit, follows p.  A step p_{i+1} = p_i * l is one append_letter of l
@@ -362,6 +381,13 @@ def _neighborhood_flags(p: PathInGraph, q: PathInGraph, r: int, backend,
     else goes to an exact skip scan over q (see _skip_scan).  A miss leaves
     a lower bound on d(p_i, q) that falls by at most 1 per step of p, so far
     stretches of p skip their scans entirely.
+
+    on_miss is "stop" (return at the first miss), "flag" (record it and go
+    on) or "grow".  With "grow" a miss raises r to d(p_i, q): the skip scan
+    is repeated at its floor, which is <= d(p_i, q) and above the radius
+    that missed, until it hits, and there the floor is d(p_i, q).  Every
+    vertex then counts as a hit, and the final r is the larger of the
+    initial r and the largest distance from a vertex of p to q.
     """
     m = len(q.vertices)
     half = 2 * r + 1  # on a geodesic q the next hit lies within 2r + 1 of the last
@@ -385,6 +411,9 @@ def _neighborhood_flags(p: PathInGraph, q: PathInGraph, r: int, backend,
                 center = j_lo + lengths.index(best)
             else:
                 center, floor = _skip_scan(backend, u, q.vertices, r)
+                while center is None and on_miss == "grow":
+                    r, half = floor, 2 * floor + 1
+                    center, floor = _skip_scan(backend, u, q.vertices, r)
                 hit = center is not None
                 if hit:
                     states = [backend.parse_state(inverse_word(q.vertices[center]) + u)]
@@ -404,37 +433,37 @@ def _neighborhood_flags(p: PathInGraph, q: PathInGraph, r: int, backend,
                     j = j_lo + len(states)
                     states.append(_left_mul(backend, inverse_word(q.label[j - 1]), states[-1]))
         flags.append(hit)
-        if not hit and stop_on_miss:
-            return flags
-    return flags
+        if not hit and on_miss == "stop":
+            break
+    return flags, r
 
 
 def neighborhood_contains(p: PathInGraph, q: PathInGraph, r: int, backend) -> bool:
     """True iff every vertex of p is within distance r of some vertex of q."""
-    return all(_neighborhood_flags(p, q, r, backend, stop_on_miss=True))
+    return all(_neighborhood_flags(p, q, r, backend, "stop")[0])
 
 
 def neighborhood_profile(p: PathInGraph, q: PathInGraph, r: int, backend) -> list[bool]:
     """For each vertex of p, whether it is within distance r of q."""
-    return _neighborhood_flags(p, q, r, backend, stop_on_miss=False)
+    return _neighborhood_flags(p, q, r, backend, "flag")[0]
 
 
 def hausdorff_distance(p: PathInGraph, q: PathInGraph, backend) -> int:
     """Max over vertices of either path of the distance to the other path.
 
+    Each direction is one pass of the neighborhood sweep whose radius only
+    grows: from 0, a vertex farther from the other path than the radius
+    raises it to that vertex's distance (on_miss "grow"), so the pass ends
+    at the largest distance.
+
     Beyond the backend's budget a distance is only a certified lower bound.
     A vertex's minimum is still exact when an exact distance is <= every
-    bound; otherwise BudgetExceeded is raised."""
-
-    def directed(a: PathInGraph, b: PathInGraph) -> int:
-        worst = 0
-        for u in a.vertices:
-            # on a tie the exact candidate sorts first
-            d, exc = min((_dist_or_bound(backend, u, v) for v in b.vertices),
-                         key=lambda c: (c[0], c[1] is not None))
-            if exc is not None:
-                raise exc
-            worst = max(worst, d)
-        return worst
-
-    return max(directed(p, q), directed(q, p))
+    bound; otherwise BudgetExceeded is raised.  Each backend certifies
+    exactly the distances up to its budget and bounds every other one by at
+    least that budget, so no exact distance is above a bound, and a minimum
+    is exact iff some distance from the vertex is.  The sweep decides that
+    vertex by vertex: the radius is 0 or an exact distance, so a window
+    state within it stands for an exact distance, and the skip scan lets an
+    exact distance win a tie with a bound."""
+    return max(_neighborhood_flags(p, q, 0, backend, "grow")[1],
+               _neighborhood_flags(q, p, 0, backend, "grow")[1])

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from periodlines.backends import BudgetExceeded
 from periodlines.cli import main
 
 PROFILE = {
@@ -206,27 +205,59 @@ def test_bad_backend_is_runtime_error(capsys):
     assert main(["classify", "--backend", "nope:1", "--g", "a"]) == 1
 
 
+# One call per error class: (argv, exit code, part of the message).  Each
+# ends in one `error:` line on stderr; a usage error prints the usage first.
+# {dir} is a directory holding genus2.txt and a profile without mu.
+ERROR_CASES = {
+    "usage": (["periods"], 64, "the following arguments are required: --word"),
+    "BackendError": (["classify", "--backend", "nope:1", "--g", "a"], 1,
+                     "unknown backend spec"),
+    "FreeWordError": (["free-reduce", "--word", "ab1"], 1, "bad letter '1'"),
+    "OSError": (["classify", "--backend", "dehn:{dir}/missing.txt", "--g", "a"], 1,
+                "No such file"),
+    "ProfileError": (["constants", "--profile", "{dir}/profile.json"], 1,
+                     "missing the key 'mu'"),
+    "BudgetExceeded": (["delta", "--backend", "dehn:{dir}/genus2.txt", "--radius", "2",
+                        "--seed", "0"], 1, "distance not certified within radius 4"),
+}
+
+
+@pytest.mark.parametrize("argv,code,message", ERROR_CASES.values(), ids=ERROR_CASES.keys())
+def test_error_exit_code(capsys, tmp_path, argv, code, message):
+    (tmp_path / "genus2.txt").write_text("gens: a,b,c,d\nrel: abABcdCD\n")
+    (tmp_path / "profile.json").write_text(json.dumps({"delta": "0", "tau": "2"}))
+    try:
+        got = main([arg.format(dir=tmp_path) for arg in argv])
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert err.splitlines()[-1].startswith("error: ") and message in err, err
+    if code == 1:
+        assert err.count("\n") == 1, err
+
+
 # Frozen outputs of genus-2 surface group calls, which a faster Dehn backend
-# must reproduce exactly: (argv, exit code or the exception raised, result,
-# certificate).  Three calls meet BudgetExceeded, and inj-radius and lemma41
+# must reproduce exactly: (argv, exit code, result, certificate).  Three
+# calls run out of budget (BudgetExceeded) and, like inj-radius and lemma41,
 # exit 1 without a record.
 GENUS2_GOLDEN = [
     (["delta", "--radius", "1"], 0, {"delta": "0"}, "lower_bound(exhaustive on ball(1))"),
-    (["delta", "--radius", "2", "--seed", "0"], BudgetExceeded, None, None),
+    (["delta", "--radius", "2", "--seed", "0"], 1, None, None),
     (["acyl-profile", "--eps", "1", "--radius", "3"], 0, {"R": 1, "N": 3},
      "observed_on_ball(3)"),
     (["commensurate", "--a", "DDDD", "--b", "dd"], 0,
      {"witness": {"g": "", "s": -1, "t": 2}}, "bounded(8,4)"),
     (["stable-norm", "--g", "d", "--n-max", "4"], 0, {"stable_norm": "1"},
      "upper_bound(n_max=4)"),
-    (["stable-norm", "--g", "Caa"], BudgetExceeded, None, None),
+    (["stable-norm", "--g", "Caa"], 1, None, None),
     (["classify", "--g", "bac"], 0, {"class": "undecided"}, None),
     (["line", "--a", "dd", "--x", "D", "--n-max", "3"], 0,
      {"vertices": ["D", "", "d", "dd", "ddd", "dddd", "ddddd"], "label": "dddddd",
       "phase_indices": [0, 2, 4, 6], "period_element": "dd"}, "exact"),
     (["inj-radius"], 1, None, None),
     (["lemma41", "--b", "BC", "--x-q", "BC", "--window", "4", "--r", "2"], 1, None, None),
-    (["fourgon-selfcheck", "--count", "5", "--seed", "0"], BudgetExceeded, None, None),
+    (["fourgon-selfcheck", "--count", "5", "--seed", "0"], 1, None, None),
 ]
 
 
@@ -236,10 +267,6 @@ def test_genus2_golden(capsys, tmp_path, argv, code, result, certificate):
     pres = tmp_path / "genus2.txt"
     pres.write_text("gens: a,b,c,d\nrel: abABcdCD\n")
     argv = argv[:1] + ["--backend", f"dehn:{pres}"] + argv[1:] + ["--json"]
-    if isinstance(code, type):
-        with pytest.raises(code):
-            main(argv)
-        return
     assert main(argv) == code
     out = capsys.readouterr().out
     rec = json.loads(out) if out else {}

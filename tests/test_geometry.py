@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from periodlines.backends import (
     SURFACE_GENUS2,
+    BackendError,
     BudgetExceeded,
     DehnBackend,
     FreeBackend,
@@ -32,6 +33,7 @@ from periodlines.geometry import (
     slimness,
     stable_norm_estimate,
 )
+from path_metric_reference import hausdorff_reference, quasi_geodesic_reference
 from slimness_reference import slimness_reference
 
 FREE = FreeBackend(2)
@@ -55,6 +57,14 @@ def test_path_from_word():
     assert p.label == "abA"
     q = path_from_word(FREE, "a", "A")
     assert q.vertices == ["a", ""]
+
+
+def test_path_from_word_rejects_foreign_letters():
+    # the metrics read distances off states grown along the label
+    with pytest.raises(BackendError):
+        path_from_word(FREE, "", "az")
+    with pytest.raises(BackendError):
+        path_from_word(DEHN, "a", "e")
 
 
 def test_periodic_line_phases():
@@ -474,3 +484,86 @@ def test_hausdorff_distance_exact_candidate_wins_tie():
     p = path_from_word(tree, "", "a")
     q = path_from_word(tree, "ab", "b")
     assert hausdorff_distance(p, q, tree) == hausdorff_distance(p, q, FREE) == 2
+
+
+class _BudgetedTreeStates(_BudgetedTree):
+    """_BudgetedTree whose path states keep the same budget as dist."""
+
+    def state_dist(self, state):
+        return self.dist("", self.render(state))
+
+
+def _value_or_budget(f, *args):
+    try:
+        return f(*args)
+    except BudgetExceeded as exc:
+        return "BudgetExceeded", str(exc)
+
+
+@pytest.mark.parametrize("backend", [FREE, FP, FP33, FP22, DEHN, _BudgetedTreeStates(2)],
+                         ids=["free", "zmzn23", "zmzn33", "zmzn22", "genus2", "budgeted-tree"])
+def test_path_metrics_match_reference(backend):
+    # random path pairs, a third of them sharing a start and part of a label;
+    # each answer, or the BudgetExceeded message, equals the all-pairs one
+    rng = random.Random(9)
+    starts = sorted(backend.ball(2))
+    params = [QuasiParams(Fraction(k), Fraction(e)) for k, e in
+              [(1, 0), (1, 1), (Fraction(3, 2), Fraction(1, 2)), (2, 1), (3, 2)]]
+
+    def word(n):
+        return "".join(rng.choice(backend.letters) for _ in range(n))
+
+    outcomes = set()
+    for _ in range(150):
+        x, w = rng.choice(starts), word(rng.randint(0, 8))
+        p = path_from_word(backend, x, w)
+        if rng.random() < 0.3:
+            q = path_from_word(backend, x, w[:rng.randint(0, len(w))] + word(2))
+        else:
+            q = path_from_word(backend, rng.choice(starts), word(rng.randint(0, 8)))
+        got = _value_or_budget(hausdorff_distance, p, q, backend)
+        assert got == _value_or_budget(hausdorff_reference, p, q, backend), (p, q)
+        outcomes.add(type(got))
+        par = rng.choice(params)
+        got = _value_or_budget(quasi_geodesic_check, p, par, backend)
+        assert got == _value_or_budget(quasi_geodesic_reference, p, par, backend), (p, par)
+        outcomes.add(type(got))
+    # budgeted backends both answer and raise
+    assert outcomes == ({int, list, tuple} if backend is DEHN or
+                        isinstance(backend, _BudgetedTree) else {int, list})
+
+
+def test_path_metrics_dist_calls():
+    # An 8-period xyxY line is the geodesic between its ends.  The all-pairs
+    # scans ask 2 * 33 * 33 = 2,178 distances for the Hausdorff distance and
+    # 528 for the quasi-geodesic check; the sweep asks one per direction,
+    # and the anchored states none.
+    calls = []
+
+    class Counting(FreeProductBackend):
+        def dist(self, u, v):
+            calls.append((u, v))
+            return super().dist(u, v)
+
+    fp = Counting((2, 3))
+    line = periodic_line(fp, "Yxy", "xyxY", 0, 8)
+    geodesic = path_from_word(fp, line.start,
+                              fp.geodesic_word(fp.mul(fp.inv(line.start), line.end)))
+    assert hausdorff_distance(line, geodesic, fp) == 0
+    assert len(calls) == 2
+    assert quasi_geodesic_check(line, QuasiParams(Fraction(3), Fraction(20)), fp) == []
+    assert len(calls) == 2
+
+
+def test_neighborhood_sweep_dehn_exact_hit_after_bound():
+    # d("AD", "CAC") = 5 is certified only > 4, which decides nothing at
+    # r = 5 or 6; the next vertex "CA" is exactly 4 away, so the flag is
+    # True, as on a backend whose budget reaches radius 6
+    dehn6 = DehnBackend(SURFACE_GENUS2, max_radius=6)
+    p = path_from_word(DEHN, "AD", "")
+    q = path_from_word(DEHN, "CAC", "cb")
+    for r in (5, 6):
+        assert neighborhood_profile(p, q, r, DEHN) == [True]
+        assert [any(dehn6.dist(u, v) <= r for v in q.vertices) for u in p.vertices] == [True]
+    with pytest.raises(BudgetExceeded):
+        hausdorff_distance(p, q, DEHN)
