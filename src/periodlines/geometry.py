@@ -169,24 +169,47 @@ def slimness(backend, tri, dist=None) -> Fraction:
     of the other two sides: sides in order, then x and y in path order.
     Those are the pairs a scan over all point pairs asks for, in the same
     order, so a distance beyond the backend's budget raises the same
-    BudgetExceeded.
+    BudgetExceeded.  N(x) is the lesser of the vertex-to-side distances
+    N(x, S) = min over y in S of d(x, y) to the two other sides S.  Each
+    N(x, S) is taken once and read back where x is a vertex of two sides;
+    a read-back skips only pairs dist was already asked, so the order of
+    first asks is unchanged.
     """
-    dist = dist or _cached_dist(backend)
-    sides = []
-    for i in range(3):
-        u, v = tri[i], tri[(i + 1) % 3]
-        w = backend.geodesic_word(backend.mul(backend.inv(u), v))
-        sides.append(path_from_word(backend, u, w).vertices)
+    return Fraction(_twice_slimness(backend, tri, dist or _cached_dist(backend), {}), 2)
+
+
+def _twice_slimness(backend, tri, dist, sides) -> int:
+    """Twice the slimness of tri (see slimness).  The memo sides maps an
+    ordered corner pair (u, v) to the vertices of the ShortLex geodesic
+    side S from u to v and a dict of the N(x, S) found so far.
+    An N(x, S) is stored only after all of its distances have been asked,
+    so a memo hit skips only pairs that dist was already asked."""
+    corners = [(tri[i], tri[(i + 1) % 3]) for i in range(3)]
+    for u, v in corners:
+        if (u, v) not in sides:
+            w = backend.geodesic_word(backend.mul(backend.inv(u), v))
+            verts = path_from_word(backend, u, w).vertices
+            sides[u, v] = (verts, {})
+    tri_sides = [sides[key] for key in corners]
     worst = 0
     for i in range(3):
-        verts = sides[i]
-        others = sides[(i + 1) % 3], sides[(i + 2) % 3]
-        nearest = [min(dist(x, y) for side in others for y in side) for x in verts]
+        verts = tri_sides[i][0]
+        (side1, near1), (side2, near2) = tri_sides[(i + 1) % 3], tri_sides[(i + 2) % 3]
+        nearest = []
+        for x in verts:
+            n1 = near1.get(x)
+            if n1 is None:
+                n1 = near1[x] = min(dist(x, y) for y in side1)
+            n2 = near2.get(x)
+            if n2 is None:
+                n2 = near2[x] = min(dist(x, y) for y in side2)
+            nearest.append(min(n1, n2))
         worst = max(worst, 2 * max(nearest))
         for a1, a2, n1, n2 in zip(verts, verts[1:], nearest, nearest[1:]):
-            if not any(a1 in side and a2 in side for side in others):
-                worst = max(worst, 2 * min(n1, n2) + 1)
-    return Fraction(worst, 2)
+            edge = 2 * min(n1, n2) + 1
+            if edge > worst and not (a1 in side1 and a2 in side1 or a1 in side2 and a2 in side2):
+                worst = edge
+    return worst
 
 
 def estimate_delta(backend, radius: int, max_triangles: int = 20000, seed: int = 0):
@@ -197,37 +220,60 @@ def estimate_delta(backend, radius: int, max_triangles: int = 20000, seed: int =
     All triangles share one dist cache, so the backend is asked each
     distance once, in the order of the first triangle that needs it.  Each
     triangle asks for the pairs the point-pair scan asked for (see
-    slimness), so values, certificates and budget failures are the scan's."""
+    slimness), so values, certificates and budget failures are the scan's.
+
+    Sides and vertex-to-side distances are memoized (see _twice_slimness)
+    for as long as triangles share them.  On an exhaustive scan of n
+    elements every ordered corner pair is a side of n - 2 triangles, so the
+    memo lives for the whole call and builds each side once, with at most
+    n(n - 1) geodesic_word calls.  Sampled triangles rarely share a side,
+    and one memo for all of them would hold every side drawn, so there it
+    lives for one triangle.  A memo hit skips only pairs that dist was
+    already asked, so the order of first asks, and with it every value,
+    certificate and BudgetExceeded message, is that of a per-triangle
+    slimness loop.  Sampled triangles are drawn one at a time, in the same
+    order from the same random.Random(seed), so a call that raises early
+    draws no more of them than it checks."""
     elements = list(backend.ball(radius))
     dist = _cached_dist(backend)
-    triples = itertools.combinations(elements, 3)
     total = len(elements) * (len(elements) - 1) * (len(elements) - 2) // 6
-    cert = f"lower_bound(exhaustive on ball({radius}))"
-    if total > max_triangles:
+    best = 0
+    if total <= max_triangles:
+        sides = {}
+        for tri in itertools.combinations(elements, 3):
+            best = max(best, _twice_slimness(backend, tri, dist, sides))
+        cert = f"lower_bound(exhaustive on ball({radius}))"
+    else:
         rng = random.Random(seed)
-        pool = [tuple(rng.sample(elements, 3)) for _ in range(max_triangles)]
-        triples = pool
+        for _ in range(max_triangles):
+            best = max(best, _twice_slimness(backend, rng.sample(elements, 3), dist, {}))
         cert = f"lower_bound(sampled {max_triangles} triangles on ball({radius}), seed={seed})"
-    best = Fraction(0)
-    for tri in triples:
-        best = max(best, slimness(backend, tri, dist))
-    return best, cert
+    return Fraction(best, 2), cert
 
 
 def stable_norm_estimate(backend, g: str, n_max: int):
     """min over 1 <= n <= n_max of |g^n| / n; a valid upper bound on the
-    stable norm, which is the infimum of that sequence."""
+    stable norm, which is the infimum of that sequence.
+
+    Where |g^n| is not exact within the backend's budget, the length of
+    the word the backend gives for g^n bounds it from above and stands in
+    for it, so the minimum is still an upper bound.  The certificate then
+    names those n."""
     if n_max < 1:
         raise GeometryError("n_max must be >= 1")
     best = None
     power = ""
+    by_word = []
     for n in range(1, n_max + 1):
         power = backend.mul(power, g)
         length, cert = backend.length(power)
         if cert != "exact":
-            raise BudgetExceeded(f"|g^{n}| not exact within budget")
+            length = len(power)
+            by_word.append(str(n))
         val = Fraction(length, n)
         best = val if best is None else min(best, val)
+    if by_word:
+        return best, f"upper_bound(n_max={n_max}, word_length_at_n={','.join(by_word)})"
     return best, f"upper_bound(n_max={n_max})"
 
 
@@ -304,8 +350,7 @@ def acylindricity_profile(backend, eps: int, radius: int):
         ginv = backend.inv(g)
         c = 0
         for f in small:
-            conj = backend.mul(backend.mul(ginv, f), g)
-            n, cert = backend.length(conj)
+            n, cert = backend.length(ginv + f + g)
             if cert == "exact" and n <= eps:
                 c += 1
         counts[g] = (d, c)

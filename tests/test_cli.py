@@ -238,9 +238,10 @@ def test_error_exit_code(capsys, tmp_path, argv, code, message):
 
 
 # Frozen outputs of genus-2 surface group calls, which a faster Dehn backend
-# must reproduce exactly: (argv, exit code, result, certificate).  Three
+# must reproduce exactly: (argv, exit code, result, certificate).  Two
 # calls run out of budget (BudgetExceeded) and, like inj-radius and lemma41,
-# exit 1 without a record.
+# exit 1 without a record.  stable-norm answers beyond the budget from word
+# lengths, and its certificate names the powers that used them.
 GENUS2_GOLDEN = [
     (["delta", "--radius", "1"], 0, {"delta": "0"}, "lower_bound(exhaustive on ball(1))"),
     (["delta", "--radius", "2", "--seed", "0"], 1, None, None),
@@ -250,7 +251,8 @@ GENUS2_GOLDEN = [
      {"witness": {"g": "", "s": -1, "t": 2}}, "bounded(8,4)"),
     (["stable-norm", "--g", "d", "--n-max", "4"], 0, {"stable_norm": "1"},
      "upper_bound(n_max=4)"),
-    (["stable-norm", "--g", "Caa"], 1, None, None),
+    (["stable-norm", "--g", "Caa"], 0, {"stable_norm": "3"},
+     "upper_bound(n_max=8, word_length_at_n=2,3,4,5,6,7,8)"),
     (["classify", "--g", "bac"], 0, {"class": "undecided"}, None),
     (["line", "--a", "dd", "--x", "D", "--n-max", "3"], 0,
      {"vertices": ["D", "", "d", "dd", "ddd", "dddd", "ddddd"], "label": "dddddd",

@@ -1,5 +1,8 @@
 import functools
+import itertools
+import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from periodlines.backends import (
     FreeBackend,
     FreeProductBackend,
 )
+from periodlines import geometry
 from periodlines.freewords import cyclic_reduce, inverse_word
 from periodlines.geometry import (
     GeometryError,
@@ -173,6 +177,93 @@ def test_estimate_delta_sampled_matches_reference():
     tris = [rng.sample(elems, 3) for _ in range(40)]
     dist = functools.lru_cache(maxsize=None)(FP33.dist)
     assert val == max(slimness_reference(FP33, tri, dist) for tri in tris)
+
+
+def _log_dist(backend):
+    """Make backend.dist log each pair it is asked; returns the log."""
+    log, dist = [], backend.dist
+
+    def logged(u, v):
+        log.append((u, v))
+        return dist(u, v)
+
+    backend.dist = logged
+    return log
+
+
+def _triangles(elems, max_triangles, seed):
+    if math.comb(len(elems), 3) <= max_triangles:
+        return itertools.combinations(elems, 3)
+    rng = random.Random(seed)
+    return [rng.sample(elems, 3) for _ in range(max_triangles)]
+
+
+def _slimness_loop(backend, radius, max_triangles, seed):
+    """estimate_delta's value as per-triangle slimness calls sharing one
+    dist cache, with every sampled triangle drawn before the first check."""
+    dist = geometry._cached_dist(backend)
+    tris = _triangles(list(backend.ball(radius)), max_triangles, seed)
+    return max(slimness(backend, tri, dist) for tri in tris)
+
+
+DELTA_ASK_CASES = {
+    "free2-r2": (lambda: FreeBackend(2), 2, 20000, 0),
+    "zmzn23-r3": (lambda: FreeProductBackend((2, 3)), 3, 20000, 0),
+    "zmzn33-r3-sampled": (lambda: FreeProductBackend((3, 3)), 3, 40, 5),
+    "genus2-r1": (lambda: DehnBackend(SURFACE_GENUS2), 1, 20000, 0),
+    "genus2-r2-sampled": (lambda: DehnBackend(SURFACE_GENUS2), 2, 20000, 0),
+}
+
+
+@pytest.mark.parametrize("make,radius,max_triangles,seed", DELTA_ASK_CASES.values(),
+                         ids=DELTA_ASK_CASES.keys())
+def test_estimate_delta_asks_as_slimness_loop(make, radius, max_triangles, seed):
+    # the shared memo skips only pairs already asked: same asks, same order
+    outcomes = []
+    for run in (lambda b: estimate_delta(b, radius, max_triangles, seed)[0],
+                lambda b: _slimness_loop(b, radius, max_triangles, seed)):
+        backend = make()
+        log = _log_dist(backend)
+        try:
+            outcomes.append((run(backend), log))
+        except BudgetExceeded as exc:
+            outcomes.append((str(exc), log))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1]
+
+
+def test_estimate_delta_builds_each_side_once():
+    backend = FreeBackend(2)
+    n = len(backend.ball(2))
+    calls = []
+    geodesic_word = backend.geodesic_word
+    backend.geodesic_word = lambda g: calls.append(g) or geodesic_word(g)
+    assert estimate_delta(backend, 2) == (0, "lower_bound(exhaustive on ball(2))")
+    # 680 triangles (e_i, e_j, e_k), i < j < k, with sides (e_i, e_j),
+    # (e_j, e_k) and (e_k, e_i): (e_1, e_n) and the n - 1 pairs
+    # (e_i+1, e_i) are never a side; one per triangle side would be 2,040
+    assert len(calls) == n * (n - 1) - n == 255
+
+
+def test_estimate_delta_draws_samples_lazily(monkeypatch):
+    draws = []
+
+    class CountingRandom(geometry.random.Random):
+        def sample(self, population, k):
+            draws.append(k)
+            return super().sample(population, k)
+
+    monkeypatch.setattr(geometry, "random", types.SimpleNamespace(Random=CountingRandom))
+    with pytest.raises(BudgetExceeded, match=r"^distance not certified within radius 4$"):
+        estimate_delta(DehnBackend(SURFACE_GENUS2), 2, seed=0)
+    # the same triangles, checked one by one until the first one that raises
+    backend = DehnBackend(SURFACE_GENUS2)
+    dist, checked = geometry._cached_dist(backend), 0
+    with pytest.raises(BudgetExceeded):
+        for tri in _triangles(list(backend.ball(2)), 20000, 0):
+            checked += 1
+            slimness(backend, tri, dist)
+    assert len(draws) == checked < 20000
 
 
 @pytest.mark.parametrize("backend", [FREE, FP, FP33, FP22], ids=["free", "zmzn", "zmzn33", "zmzn22"])
