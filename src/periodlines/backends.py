@@ -28,14 +28,13 @@ vertex.
 The Dehn backend reduces words in real time, one left-to-right stack pass
 per word (Domanski-Anshel 1985; Holt 2000).  Its ball of certified
 geodesics grows one BFS layer at a time, only as far as a call needs.
-Ball membership rests on Greendlinger's lemma (Lyndon-Schupp,
-Combinatorial Group Theory, Ch. V, Sec. 4): after the common prefix and
-suffix of two freely reduced words are stripped, a difference shorter than
-the shortest relator is nontrivial, and one of exactly that length is
-trivial iff it is a symmetrized relator.  So a word u equals an element of
-layer |rho| - |u|, for rho a shortest relator, only if it is a prefix of a
-symmetrized relator completed by that element, which one index lookup per
-completion finds.  Only layers farther out are scanned, comparing u with
+Ball membership rests on a per-presentation bound L2, proved by the
+curvature count of Lyndon-Schupp (Combinatorial Group Theory, Ch. V,
+Sec. 3-4): every cyclically reduced trivial word shorter than L2 is a
+single symmetrized relator.  So a Dehn-reduced word u equals an element of
+a layer d with |u| + d < L2 only if the element has u's length and differs
+from u in one half-relator, which one index lookup per occurrence of a
+half in u finds.  Only layers farther out are scanned, comparing u with
 each member of its bucket: the elements of the layer on which every
 homomorphism to Z (a functional on exponent sums that vanishes on each
 relator) takes u's value.
@@ -386,25 +385,32 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(gens, tuple(rels))
 
 
-def verify_small_cancellation(p: Presentation, lambda_denominator: int) -> bool:
-    """True iff every piece is strictly shorter than 1/lambda_denominator of
-    each relator containing it.
+def longest_pieces(p: Presentation) -> list[int]:
+    """For each relator, the length of the longest piece it contains.
 
     A piece is a common prefix of two distinct occurrences in the symmetrized
     closure (occurrences in cyclic words correspond to prefixes of cyclic
-    shifts).  Two distinct occurrences carrying the identical word mean a
-    relator overlaps itself completely, a piece of full length.
+    shifts), and it lies in the relators of both.  Two distinct occurrences
+    carrying the identical word mean a relator overlaps itself completely, a
+    piece of full length.
     """
     occ = p.symmetrized_occurrences()
+    owner = [i for i, rel in enumerate(p.relators) for _ in range(2 * len(rel))]
+    longest = [0] * len(p.relators)
     for i in range(len(occ)):
         for j in range(i + 1, len(occ)):
             u, v = occ[i], occ[j]
             piece = len(u) if u == v else _common_prefix_len(u, v)
-            if piece == 0:
-                continue
-            if piece * lambda_denominator >= len(u) or piece * lambda_denominator >= len(v):
-                return False
-    return True
+            for r in (owner[i], owner[j]):
+                longest[r] = max(longest[r], piece)
+    return longest
+
+
+def verify_small_cancellation(p: Presentation, lambda_denominator: int) -> bool:
+    """True iff every piece is strictly shorter than 1/lambda_denominator of
+    each relator containing it (see longest_pieces)."""
+    return all(piece * lambda_denominator < len(rel)
+               for rel, piece in zip(p.relators, longest_pieces(p)))
 
 
 def _integer_kernel(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
@@ -436,6 +442,46 @@ def _integer_kernel(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]
     return basis
 
 
+def one_cell_bound(p: Presentation) -> int:
+    """L2 = 2 min over relators r of (|r| - p(r)), p(r) the longest piece in
+    r.  Under C'(1/6), every nonempty cyclically reduced trivial word shorter
+    than L2 is a symmetrized relator.  On genus 2, L2 = 2 (8 - 1) = 14.
+
+    Proof, by the curvature count of Lyndon-Schupp (Combinatorial Group
+    Theory, Ch. V, Sec. 3-4).  Let w be cyclically reduced and trivial, and
+    D a van Kampen diagram for w with the fewest cells.  D is reduced, so
+    every arc along which two cells meet is labelled by a piece.  D has a
+    cell, since w is not freely trivial, and no spur, where w would
+    backtrack.  So D is one disc, or it has at least two discs joined by
+    arcs, which w goes around in full.  A disc of one cell has perimeter
+    |r| >= n_min, the shortest relator length.  If D is that disc, w is a
+    symmetrized relator.  It remains to show that a reduced disc diagram M
+    of two or more cells has perimeter at least L2, which exceeds n_min as
+    p(r) < |r| / 6.  Then every disc has perimeter at least n_min, and two
+    discs give at least 2 n_min >= L2.
+
+    Erase the vertices of degree 2 of M, and count V vertices, E edges and
+    F cells, split into interior ones and ones on the boundary cycle
+    (V_b = E_b).  Euler's formula V - E + F = 1 becomes V_i - E_i + F = 1.
+    An interior vertex has degree at least 3 (a degree-1 vertex would make
+    a relator not cyclically reduced), and a boundary vertex meets an
+    interior edge, so 2 E_i >= 3 V_i + V_b.  For a cell D let i(D) be the
+    number of interior arcs and b(D) the number of boundary arcs on it, so
+    that the sum of i(D) is 2 E_i and the sum of b(D) is V_b.  Then
+        sum over cells D of (6 - i(D) - 2 b(D)) >= 6.
+    An interior cell is bounded by pieces, each shorter than a sixth of its
+    relator, so i(D) >= 7.  A boundary cell has b(D) >= 1, hence
+        sum over boundary cells D of (4 - i(D)) >= 6.
+    A boundary cell of relator r has at least |r| - i(D) p(r) letters on
+    the boundary.  As 4 p(r) <= |r|, for i(D) = 1, 2, 3 that is at least
+    (4 - i(D)) (|r| - p(r)) / 3.  No boundary cell has i(D) = 0, since it
+    would be all of M, and a cell with i(D) >= 4 adds letters and no
+    curvature.  So the perimeter is at least 6 min (|r| - p(r)) / 3 = L2.
+    Two octagons sharing one edge show that the bound is sharp on genus 2.
+    """
+    return 2 * min(len(rel) - piece for rel, piece in zip(p.relators, longest_pieces(p)))
+
+
 class DehnBackend(_Backend):
     """Group given by a C'(1/6) presentation.
 
@@ -443,12 +489,14 @@ class DehnBackend(_Backend):
     as one left-to-right stack pass (Domanski-Anshel 1985; Holt 2000).
     Geodesic lengths and ShortLex canonical forms are certified only within
     a BFS ball of radius max_radius, grown one layer at a time as far as a
-    call needs.  Ball membership is an index lookup where Greendlinger's
-    lemma settles it (see _member), and a bucket scan elsewhere, which
-    compares words by the lemma where it applies (see _same_element) and by
-    Dehn reduction otherwise.  When max_radius is at most half the shortest
-    relator length, as for genus 2 at the default budget, growing the ball
-    never scans.
+    call needs.  Ball membership of a Dehn-reduced word u rests on the
+    per-presentation bound L2 (see one_cell_bound): in a layer d with
+    |u| + d < L2, u can equal only a word of its own length that differs
+    from it in one half-relator, which one index lookup per occurrence
+    decides (see _member).  Only layers with |u| + d >= L2 are scanned,
+    bucket by bucket (see _same_element).  On genus 2, L2 = 14: growing
+    the ball to radius 6 never scans, and at the default budget neither
+    does a lookup of a word whose Dehn reduction is at most 9 letters long.
     """
 
     def __init__(self, presentation: Presentation, max_radius: int = 4):
@@ -457,25 +505,27 @@ class DehnBackend(_Backend):
         self.presentation = presentation
         self.max_radius = max_radius
         super().__init__([c for g in presentation.generators for c in (g, g.upper())])
+        self._ranked_letters = sorted(self.letters, key=letter_rank)
         self._symmetrized = frozenset(presentation.symmetrized())
         self._n_min = min(len(rel) for rel in presentation.relators)
+        self._l2 = one_cell_bound(presentation)
         # Replacement rules: a subword covering more than half of a
         # symmetrized relator rho = s t is replaced by the shorter t^-1.  Only
         # the shortest such s (|s| = |rho| // 2 + 1) is a key: every longer
         # one starts with it, so a word free of the keys is Dehn-reduced.
         # Under C'(1/6) two relators never share a prefix that long.
         self._rules: dict[str, str] = {}
+        # Halves: a symmetrized relator rho = s t with |s| = |t| maps s to
+        # t^-1, the one-cell rewrites of _member.  A shared key would be a
+        # piece of half a relator, so each key has one value.
+        self._halves: dict[str, str] = {}
         for rho in presentation.symmetrized():
-            h = len(rho) // 2 + 1
-            self._rules[rho[:h]] = inverse_word(rho[h:])
+            h = len(rho) // 2
+            self._rules[rho[:h + 1]] = inverse_word(rho[h + 1:])
+            if len(rho) % 2 == 0:
+                self._halves[rho[:h]] = inverse_word(rho[h:])
         self._rule_lengths = sorted({len(s) for s in self._rules})
-        # Completions: each nonempty prefix of a shortest symmetrized
-        # relator rho = s t maps to the words t^-1 (see _member).
-        self._completions: dict[str, list[str]] = {}
-        for rho in presentation.symmetrized():
-            if len(rho) == self._n_min:
-                for k in range(1, len(rho) + 1):
-                    self._completions.setdefault(rho[:k], []).append(inverse_word(rho[k:]))
+        self._half_lengths = sorted({len(s) for s in self._halves})
         # Homomorphisms to Z: functionals on exponent-sum vectors that
         # vanish on every relator.  Equal elements agree on each of them.
         # Where every relator has exponent sums 0 they are the coordinates,
@@ -483,13 +533,15 @@ class DehnBackend(_Backend):
         vectors = [self._abelian_vector(rel) for rel in presentation.relators]
         self._homs = None if not any(map(any, vectors)) else \
             _integer_kernel(vectors, len(presentation.generators))
-        # The ball: its elements in BFS order as ShortLex geodesics, the index
-        # of each, and (homomorphism values, layer) buckets.  Layer d is
-        # _canon[_layer_start[d]:_layer_start[d + 1]].
+        # The ball: its elements in BFS order as ShortLex geodesics, and the
+        # index of each.  Layer d is _canon[_layer_start[d]:_layer_start[d + 1]].
+        # The scan's (homomorphism values, layer) buckets hold _canon[:_bucketed],
+        # filled only when a scan needs them.
         self._canon: list[str] = [""]
         self._index: dict[str, int] = {"": 0}
         self._layer_start: list[int] = [0, 1]
-        self._buckets: dict[tuple, list[int]] = {(self._bucket_key(""), 0): [0]}
+        self._buckets: dict[tuple, list[int]] = {}
+        self._bucketed = 0
 
     def _abelian_vector(self, w: str) -> tuple:
         return tuple(w.count(g) - w.count(g.upper()) for g in self.presentation.generators)
@@ -576,30 +628,48 @@ class DehnBackend(_Backend):
 
     def _member(self, u: str, radius: int) -> int | None:
         """Index of the ball element of length <= radius equal to the
-        freely reduced word u, or None.  Layers up to radius must be built.
+        Dehn-reduced word u, or None.  Layers up to radius must be built.
 
-        Let n be the shortest relator length.  A layer d with |u| + d < n
-        can hold only u itself, which the index finds.  By _same_element, u
-        equals an element v of layer n - |u| other than itself only if
-        u v^-1 is a symmetrized relator (a shared prefix or suffix would
-        leave a shorter, nonempty difference), so v is a completion of u
-        and the index decides that layer.  Only layers with |u| + d > n are
+        Let v be a ball element, hence a geodesic, equal to u but another
+        word.  Strip their common prefix and suffix: u = p s q, v = p t q.
+        If t were empty, s would be a nonempty, freely reduced, trivial
+        subword of u, so by Dehn's lemma more than half of a relator would
+        lie in u; an empty s would put one in the geodesic v.  So s t^-1 is
+        cyclically reduced and trivial, and if |u| + |v| < L2 it is a
+        symmetrized relator rho (one_cell_bound).  As u is Dehn-reduced,
+        |s| <= |rho| / 2, and as v is a geodesic, |t| <= |s|: s and t^-1
+        are the two halves of rho, and |v| = |u|.  Hence, of the layers d
+        with |u| + d < L2, only layer |u| can hold u's element, and
+        replacing one half-relator of u by the other half finds it, one
+        index lookup per occurrence.  Only layers from L2 - |u| on are
         scanned.  At most one element equals u, so the order of the checks
         does not change the answer.
         """
-        idx = self._index.get(u)
-        if idx is not None:
-            return idx
-        d = self._n_min - len(u)
-        if 0 <= d <= radius:
-            for v in self._completions.get(u, ()):
-                idx = self._index.get(v)
-                if idx is not None:
-                    return idx
-        if d >= radius:
+        if len(u) <= radius:
+            idx = self._index.get(u)
+            if idx is not None:
+                return idx
+            for h in self._half_lengths:
+                for i in range(len(u) - h + 1):
+                    t = self._halves.get(u[i:i + h])
+                    if t is not None:
+                        idx = self._index.get(u[:i] + t + u[i + h:])
+                        if idx is not None:
+                            return idx
+        if len(u) + radius < self._l2:
             return None
+        return self._scan(u, range(max(0, self._l2 - len(u)), radius + 1))
+
+    def _scan(self, u: str, layers: range) -> int | None:
+        """Index of the element of the given built layers equal to the
+        freely reduced word u, or None, comparing u with each member of
+        its bucket in each layer (see _same_element)."""
+        for idx in range(self._bucketed, len(self._canon)):
+            w = self._canon[idx]
+            self._buckets.setdefault((self._bucket_key(w), len(w)), []).append(idx)
+        self._bucketed = len(self._canon)
         key = self._bucket_key(u)
-        for layer in range(max(0, d + 1), radius + 1):
+        for layer in layers:
             for idx in self._buckets.get((key, layer), ()):
                 if self._same_element(u, self._canon[idx]):
                     return idx
@@ -607,28 +677,25 @@ class DehnBackend(_Backend):
 
     def _grow(self, radius: int) -> None:
         """Build the ball layer by layer up to radius (<= max_radius)."""
-        letters = sorted(self.letters, key=letter_rank)
+        rules, lengths = self._rules, self._rule_lengths
         while len(self._layer_start) <= radius + 1:
             d = len(self._layer_start) - 1
             for w in self._canon[self._layer_start[d - 1]:self._layer_start[d]]:
-                for c in letters:
+                for c in self._ranked_letters:
                     if w and w[-1] == c.swapcase():
                         continue
-                    # w is geodesic, hence Dehn-reduced, so one push reduces
-                    # w c; a shorter result is an element of a built layer.
-                    stack = list(w)
-                    self._push(stack, c)
-                    if len(stack) < d:
-                        continue
+                    # w is geodesic, hence Dehn-reduced, so w c is too unless
+                    # it ends in a rule key; then it reduces to a shorter
+                    # word, an element of a built layer.
                     cand = w + c
+                    if any(cand[-k:] in rules for k in lengths):
+                        continue
                     if self._member(cand, d) is not None:
                         continue
                     # BFS explores candidate words in ShortLex order, so the
                     # first word reaching an element is its ShortLex geodesic.
-                    idx = len(self._canon)
+                    self._index[cand] = len(self._canon)
                     self._canon.append(cand)
-                    self._index[cand] = idx
-                    self._buckets.setdefault((self._bucket_key(cand), d), []).append(idx)
             self._layer_start.append(len(self._canon))
 
     def ball(self, radius: int) -> dict[str, int]:

@@ -90,15 +90,20 @@ def periodic_line(backend, x: str, a: str, n_min: int, n_max: int) -> PathInGrap
     return path
 
 
+def _length_bound(backend, w: str) -> int:
+    """A lower bound on |w| where the backend cannot certify it: a length n
+    that is not exact certifies |w| > n."""
+    return backend.length(w)[0] + 1
+
+
 def _dist_or_bound(backend, u: str, v: str) -> tuple[int, BudgetExceeded | None]:
-    """(d(u, v), None), or (n + 1, exc) where the backend cannot certify
-    d(u, v): a length n that is not exact certifies a distance above n.
-    exc is the backend's BudgetExceeded, which a caller raises where the
-    lower bound does not decide its answer."""
+    """(d(u, v), None), or (_length_bound of u^-1 v, exc) where the backend
+    cannot certify d(u, v).  exc is the backend's BudgetExceeded, which a
+    caller raises where the lower bound does not decide its answer."""
     try:
         return backend.dist(u, v), None
     except BudgetExceeded as exc:
-        return backend.length(inverse_word(u) + v)[0] + 1, exc
+        return _length_bound(backend, inverse_word(u) + v), exc
 
 
 def quasi_geodesic_check(path: PathInGraph, params: QuasiParams, backend) -> list[tuple[int, int, int]]:
@@ -122,8 +127,7 @@ def quasi_geodesic_check(path: PathInGraph, params: QuasiParams, backend) -> lis
             try:
                 d = backend.state_dist(state)
             except BudgetExceeded:
-                # a length n that is not exact certifies a distance above n
-                bound = backend.length(backend.render(state))[0] + 1
+                bound = _length_bound(backend, backend.render(state))
                 if kn * (bound * ed + en) < (j - i) * kd * ed:
                     raise
                 continue

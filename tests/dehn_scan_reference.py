@@ -1,0 +1,56 @@
+"""The Dehn backend with ball membership decided by the bucket scan alone,
+the reference the one-cell rewrites of DehnBackend._member are tested
+against.
+
+Run as a script, it builds two radius-6 balls both ways and compares them
+item for item, in order, exiting 1 on any difference:
+
+    PYTHONPATH=src python tests/dehn_scan_reference.py
+
+- genus 2, where L2 = 14 and one-cell rewrites build all of ball(6);
+- <a, b, c | aabaBBc>, where L2 = 12, so the scan decides layer 6 (two
+  heptagons sharing a letter make duplicates of length 6 there).
+
+They take about 100 s and 13 s (2 cores, Python 3.11), nearly all of it in
+the reference.
+"""
+
+import sys
+import time
+
+from periodlines.backends import SURFACE_GENUS2, DehnBackend, Presentation
+
+CASES = [
+    ("genus 2", SURFACE_GENUS2, 6),
+    ("<a, b, c | aabaBBc>", Presentation(("a", "b", "c"), ("aabaBBc",)), 6),
+]
+
+
+class ScanDehn(DehnBackend):
+    """Every layer up to the radius is scanned: u is compared with each
+    member of its bucket by _same_element, by Greendlinger's lemma up to
+    the shortest relator length and by Dehn reduction beyond."""
+
+    def _member(self, u, radius):
+        idx = self._index.get(u)
+        return idx if idx is not None else self._scan(u, range(radius + 1))
+
+
+def main():
+    failed = 0
+    for name, presentation, radius in CASES:
+        t0 = time.perf_counter()
+        ball = DehnBackend(presentation, max_radius=radius).ball(radius)
+        t1 = time.perf_counter()
+        ref = ScanDehn(presentation, max_radius=radius).ball(radius)
+        t2 = time.perf_counter()
+        same = list(ball.items()) == list(ref.items())
+        failed += not same
+        print(f"{name} ball({radius}): {len(ball)} elements in {t1 - t0:.2f} s, "
+              f"scan reference {len(ref)} in {t2 - t1:.2f} s, "
+              f"{'identical' if same else 'DIFFERENT'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

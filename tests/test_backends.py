@@ -12,13 +12,16 @@ from periodlines.backends import (
     FreeProductBackend,
     Presentation,
     SURFACE_GENUS2,
+    longest_pieces,
     make_backend,
+    one_cell_bound,
     parse_presentation,
     shortlex_key,
     verify_small_cancellation,
 )
 from periodlines.freewords import free_reduce, inverse_word, is_cyclically_reduced
 from periodlines.words import primitive_root
+from dehn_scan_reference import ScanDehn
 from zmzn_reference import zmzn_normal_form
 
 
@@ -345,12 +348,26 @@ def test_dehn_ball_matches_reference():
     assert list(d.ball(4).items()) == list(REF.ball.items())
 
 
-def test_genus2_sphere_sizes():
-    # 1, 8, 56, 392, 2736: the growth series of the genus-2 surface group
-    # (Cannon), agreeing with an independent Fuchsian-group oracle
-    ball = DehnBackend(SURFACE_GENUS2).ball(4)
-    spheres = [sum(1 for d in ball.values() if d == n) for n in range(5)]
-    assert spheres == [1, 8, 56, 392, 2736]
+@pytest.fixture(scope="module")
+def genus2_r6():
+    d = DehnBackend(SURFACE_GENUS2, max_radius=6)
+    d.ball(6)
+    return d
+
+
+def test_genus2_sphere_sizes(genus2_r6):
+    # The growth series f of the genus-2 surface group (Cannon):
+    # (1 - 6t - 6t^2 - 6t^3 + t^4) f = 1 + 2t + 2t^2 + 2t^3 + t^4, that is
+    # 1, 8, 56, 392, 2736, 19096, 133288.  Radius 6 lies past the default
+    # budget and is built by one-cell rewrites alone (L2 = 14 > 2 * 6).
+    numerator, f = [1, 2, 2, 2, 1], []
+    for n in range(7):
+        f.append((numerator[n] if n < 5 else 0)
+                 + sum(c * f[n - k] for k, c in ((1, 6), (2, 6), (3, 6), (4, -1)) if n >= k))
+    assert f[:5] == [1, 8, 56, 392, 2736]  # the Fuchsian oracle's frozen sizes
+    ball = genus2_r6.ball(6)
+    spheres = [sum(1 for d in ball.values() if d == n) for n in range(7)]
+    assert spheres == f == [1, 8, 56, 392, 2736, 19096, 133288]
 
 
 def test_ball_grows_on_demand():
@@ -452,3 +469,112 @@ def test_dehn_scan_path_matches_reference(presentation, functionals):
             assert d.nf_exact(w) == (canon is not None), w
             red = d.normal_form(w)
             assert red == canon if canon is not None else ref.equal(red, w), w
+
+
+def test_dehn_ball5_matches_scan_reference():
+    # past half the relator length, where same-length duplicates appear
+    # (48 in layer 5), the one-cell rewrites build the scan's ball
+    fast = DehnBackend(SURFACE_GENUS2, max_radius=5).ball(5)
+    assert list(fast.items()) == list(ScanDehn(SURFACE_GENUS2, max_radius=5).ball(5).items())
+
+
+def _two_cells(presentation):
+    """Trivial words of two cells glued along one letter: rho1 = p x and
+    rho2 = x^-1 q give p q, where that is cyclically reduced."""
+    sym = presentation.symmetrized()
+    for r1 in sym:
+        for r2 in sym:
+            w = r1[:-1] + r2[1:]
+            if r2[0] == r1[-1].swapcase() and free_reduce(w) == w and is_cyclically_reduced(w):
+                yield w
+
+
+@pytest.mark.parametrize("presentation, l2", [
+    (SURFACE_GENUS2, 14),
+    (SCAN_PATH_CASES[0][0], 12),
+    (SCAN_PATH_CASES[1][0], 12),
+], ids=["genus2", "one-relator", "two-relator"])
+def test_one_cell_bound(presentation, l2):
+    # every piece is one letter, so L2 = 2 (n_min - 1); two shortest cells
+    # glued along a piece make a trivial word of length L2 that is no
+    # relator, so no larger bound holds
+    assert longest_pieces(presentation) == [1] * len(presentation.relators)
+    assert one_cell_bound(presentation) == l2
+    d = DehnBackend(presentation)
+    sym = set(presentation.symmetrized())
+    glued = [w for w in _two_cells(presentation) if w not in sym]
+    assert all(d.is_identity(w) for w in glued)
+    assert min(map(len, glued)) == l2
+
+
+def test_genus2_two_cell_lookup_at_the_bound(genus2_r6):
+    # Around two octagons sharing an edge, u takes 4 letters of each and
+    # v the other 6: u is Dehn-reduced, and |u| + |v| = 14 = L2, so only the
+    # scan of layer 6 finds u's element
+    d = genus2_r6
+    cases = 0
+    for w in _two_cells(SURFACE_GENUS2):
+        u, v = w[3:11], inverse_word(w[11:] + w[:3])
+        assert d.dehn_reduce(u) == u
+        assert d.length(u) == (6, "exact") and d.nf_exact(v)
+        assert d.normal_form(u) == d.normal_form(v)
+        cases += 1
+    assert cases == 16
+
+
+@pytest.mark.parametrize("presentation, functionals, radius", [
+    (SURFACE_GENUS2, None, 6),
+    (*SCAN_PATH_CASES[0], 5),
+    (*SCAN_PATH_CASES[1], 5),
+], ids=["genus2", "one-relator", "two-relator"])
+def test_one_cell_lookup_matches_dehn_reduction(presentation, functionals, radius):
+    """For every layer d and Dehn-reduced word u with |u| + d < L2, the
+    element _member finds (or None) is the one Dehn reduction finds among
+    the ball elements of length <= d that take u's values under the
+    homomorphisms to Z (the exponent sums on genus 2)."""
+    d = DehnBackend(presentation, max_radius=radius)
+    l2 = one_cell_bound(presentation)
+    ball = list(d.ball(radius))
+
+    def key(w):
+        v = [w.count(g) - w.count(g.upper()) for g in presentation.generators]
+        return tuple(v) if functionals is None else \
+            tuple(sum(f * x for f, x in zip(phi, v)) for phi in functionals)
+
+    buckets = {}
+    for w in ball:
+        buckets.setdefault(key(w), []).append(w)
+    sym = presentation.symmetrized()
+    halves = [(rho[:len(rho) // 2], inverse_word(rho[len(rho) // 2:]))
+              for rho in sym if len(rho) % 2 == 0]
+    letters = "".join(d.letters)
+    rng = random.Random(12)
+    checked = found = 0
+    for i in range(1500):
+        v = rng.choice(ball)
+        if i % 3 == 0:
+            w = "".join(rng.choice(letters) for _ in range(rng.randint(1, l2)))
+        elif i % 3 == 1:
+            j = rng.randint(0, len(v))
+            w = v[:j] + rng.choice(sym) + v[j:]
+        elif halves:
+            # a ball word with one half of an even relator traded for the
+            # other half: another word of its length for the same element
+            s, t = rng.choice(halves)
+            v = rng.choice([c for c in ball[:5000] if s in c] or [s])
+            j = v.index(s)
+            w = v[:j] + t + v[j + len(s):]
+        else:
+            w = v + rng.choice(letters)
+        u = d.dehn_reduce(w)
+        for layer in range(min(radius, l2 - 1 - len(u)) + 1):
+            expected = next((c for c in buckets.get(key(u), ()) if len(c) <= layer
+                             and d.is_identity(u + inverse_word(c))), None)
+            idx = d._member(u, layer)
+            assert (None if idx is None else d._canon[idx]) == expected, (u, layer)
+            checked += 1
+            found += expected is not None and expected != u
+    # an odd relator has no halves: there, equal Dehn-reduced words this
+    # short are identical
+    assert checked > 3000
+    assert found > 100 if halves else found == 0

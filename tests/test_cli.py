@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from periodlines.backends import DehnBackend
 from periodlines.cli import main
 
 PROFILE = {
@@ -274,6 +275,22 @@ def test_genus2_golden(capsys, tmp_path, argv, code, result, certificate):
     rec = json.loads(out) if out else {}
     assert rec.get("result") == result
     assert rec.get("certificate") == certificate
+
+
+def test_genus2_acyl_profile_never_scans(capsys, tmp_path, monkeypatch):
+    # every conjugate it looks up reduces to at most 7 letters, and
+    # 7 + 4 < L2 = 14, so one-cell rewrites decide each lookup (the bucket
+    # scan compared 14,016 pairs here)
+    calls = []
+    same_element = DehnBackend._same_element
+    monkeypatch.setattr(DehnBackend, "_same_element",
+                        lambda self, u, v: calls.append((u, v)) or same_element(self, u, v))
+    pres = tmp_path / "genus2.txt"
+    pres.write_text("gens: a,b,c,d\nrel: abABcdCD\n")
+    assert main(["acyl-profile", "--backend", f"dehn:{pres}", "--eps", "1", "--radius", "3",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"R": 1, "N": 3}
+    assert calls == []
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
