@@ -14,16 +14,18 @@ dist is exact or raises BudgetExceeded.
 Every backend also keeps mutable path states, and on every backend a
 state is a stack of letters: parse_state(w) builds one, append_letter(state,
 c) multiplies it by a letter on the right in place, and render(state) joins
-it back into a word.  len(parse_state(w)) is never less than the word
-length |w| of the element w.  It equals |w| on the free and free product
-backends, whose stacks hold the normal form (one letter per syllable on
-the free product); on the Dehn backend a state is a freely reduced word,
-which can be longer than a geodesic.  state_dist(state) is |w| itself,
-exact or BudgetExceeded as dist: the stack's length where it holds the
-normal form, and a ball lookup of the rendered state on Dehn.  A state
+it back into a word.  A state is empty iff it stands for the identity.
+len(parse_state(w)) is never less than the word length |w| of the element
+w.  It equals |w| on the free and free product backends, whose stacks hold
+the normal form (one letter per syllable on the free product); on the Dehn
+backend a state is the Dehn-reduced word that the real-time reduction
+keeps, which can be longer than a geodesic.  state_dist(state) is |w|
+itself, exact or BudgetExceeded as dist: the stack's length where it holds
+the normal form, and a ball lookup of the rendered stack on Dehn.  A state
 grown from parse_state("") along a path's label from its vertex v_i
 stands for v_i^-1 v_j, so it gives d(v_i, v_j) without rendering either
-vertex.
+vertex.  A loop that multiplies by a fixed word keeps one state and
+appends the word's letters, so no product is reduced twice.
 
 The Dehn backend reduces words in real time, one left-to-right stack pass
 per word (Domanski-Anshel 1985; Holt 2000).  Its ball of certified
@@ -80,9 +82,15 @@ class _Backend:
     Metric: length(g) -> (n, certificate), dist(u, v) and geodesic_word(g)
     (exact, or BudgetExceeded), ball(radius).  Path states are stacks of
     letters on every backend: parse_state, append_letter (free cancellation
-    here; a backend with torsion overrides both), render (a join), and
-    state_dist, the length of the element a state stands for (the stack's
-    length here; a backend whose stacks are not geodesics overrides it).
+    here; the free product and Dehn backends override both), render (a
+    join), and state_dist, the length of the element a state stands for
+    (the stack's length here; a backend whose stacks are not geodesics
+    overrides it).  On every backend a state is empty iff it stands for the
+    identity: here and on the free product a state holds the normal form,
+    and on Dehn it is Dehn-reduced, and by Dehn's lemma a nonempty
+    Dehn-reduced word is nontrivial.  append_letter need not check its
+    letter, so a caller that appends the letters of a word checks the word
+    once first (check_word).
 
     Capabilities:
     - conjugacy_core(g): (conj, core) exactly, or None where the backend
@@ -497,6 +505,12 @@ class DehnBackend(_Backend):
     bucket by bucket (see _same_element).  On genus 2, L2 = 14: growing
     the ball to radius 6 never scans, and at the default budget neither
     does a lookup of a word whose Dehn reduction is at most 9 letters long.
+
+    A path state is the stack of the real-time reduction (see _push):
+    parse_state pushes a word onto an empty stack and append_letter pushes
+    one letter.  The pushes continue one pass, so a state grown from
+    parse_state(w) by the letters of v renders as dehn_reduce(w + v).  It
+    is Dehn-reduced, so state_dist looks it up without reducing it again.
     """
 
     def __init__(self, presentation: Presentation, max_radius: int = 4):
@@ -559,33 +573,34 @@ class DehnBackend(_Backend):
 
         Letters are pushed one at a time, cancelling freely.  No rule key is
         a subword of the stack before a push, so a key can only appear as a
-        suffix after it; a matched key is popped and its replacement is fed
-        back as input.  Every replacement shortens the word, so the pass
-        ends, and it is linear in |w| for a fixed presentation.
+        suffix after it; a matched key is popped and its replacement is
+        pushed before the next letter of w.  Every replacement shortens the
+        word, so the pass ends, and it is linear in |w| for a fixed
+        presentation.
         """
         rules, lengths = self._rules, self._rule_lengths
-        todo = list(reversed(w))
-        while todo:
-            c = todo.pop()
-            if stack and stack[-1] == c.swapcase():
-                stack.pop()
-                continue
-            stack.append(c)
-            for k in lengths:
-                if len(stack) >= k:
-                    repl = rules.get("".join(stack[-k:]))
-                    if repl is not None:
-                        del stack[-k:]
-                        todo.extend(reversed(repl))
-                        break
+        todo: list[str] = []  # replacement letters still to push, last first
+        for c in w:
+            while True:
+                if stack and stack[-1] == c.swapcase():
+                    stack.pop()
+                else:
+                    stack.append(c)
+                    for k in lengths:
+                        if len(stack) >= k:
+                            repl = rules.get("".join(stack[-k:]))
+                            if repl is not None:
+                                del stack[-k:]
+                                todo.extend(reversed(repl))
+                                break
+                if not todo:
+                    break
+                c = todo.pop()
 
     def dehn_reduce(self, w: str) -> str:
         """A Dehn-reduced word equal to w: freely reduced, and with no
         subword that is more than half of a symmetrized relator."""
-        self.check_word(w)
-        stack: list[str] = []
-        self._push(stack, w)
-        return "".join(stack)
+        return "".join(self.parse_state(w))
 
     def is_identity(self, w: str) -> bool:
         return self.dehn_reduce(w) == ""
@@ -707,14 +722,18 @@ class DehnBackend(_Backend):
         # canonical words are geodesics: a word's length is its distance
         return {w: len(w) for w in self._canon[:self._layer_start[max(radius + 1, 0)]]}
 
-    def _lookup(self, w: str) -> tuple[int | None, str]:
-        """(index of the ball element equal to w or None, Dehn-reduced w).
-        An element is no longer than any word for it, so the ball is grown
-        only to the length of the reduced word."""
-        red = self.dehn_reduce(w)
+    def _find(self, red: str) -> int | None:
+        """Index of the ball element equal to the Dehn-reduced word red, or
+        None.  An element is no longer than any word for it, so the ball is
+        grown only to the length of red."""
         radius = min(len(red), self.max_radius)
         self._grow(radius)
-        return self._member(red, radius), red
+        return self._member(red, radius)
+
+    def _lookup(self, w: str) -> tuple[int | None, str]:
+        """(index of the ball element equal to w or None, Dehn-reduced w)."""
+        red = self.dehn_reduce(w)
+        return self._find(red), red
 
     def normal_form(self, w: str) -> str:
         """ShortLex geodesic canonical form when w lies in the budget ball,
@@ -731,11 +750,13 @@ class DehnBackend(_Backend):
             return len(self._canon[idx]), "exact"
         return self.max_radius, f"lower_bound({self.max_radius})"
 
-    def dist(self, u: str, v: str) -> int:
-        n, cert = self.length(inverse_word(u) + v)
-        if cert != "exact":
+    def _certified_length(self, idx: int | None) -> int:
+        if idx is None:
             raise BudgetExceeded(f"distance not certified within radius {self.max_radius}")
-        return n
+        return len(self._canon[idx])
+
+    def dist(self, u: str, v: str) -> int:
+        return self._certified_length(self._lookup(inverse_word(u) + v)[0])
 
     def geodesic_word(self, g: str) -> str:
         idx, _ = self._lookup(g)
@@ -743,9 +764,19 @@ class DehnBackend(_Backend):
             raise BudgetExceeded("geodesic unavailable at budget")
         return self._canon[idx]
 
+    def parse_state(self, w: str) -> list[str]:
+        self.check_word(w)
+        stack: list[str] = []
+        self._push(stack, w)
+        return stack
+
+    # a letter is a one-letter word
+    append_letter = _push
+
     def state_dist(self, state: list[str]) -> int:
-        # a freely reduced stack can be longer than a geodesic: look it up
-        return self.dist("", self.render(state))
+        # a Dehn-reduced stack can be longer than a geodesic: look it up as
+        # it stands, since reducing it again would not change it
+        return self._certified_length(self._find(self.render(state)))
 
     def conjugacy_core(self, g: str) -> None:
         # no cyclic Dehn reduction yet: callers fall back to bounded searches

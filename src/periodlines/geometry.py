@@ -31,8 +31,10 @@ class QuasiParams:
 
 @dataclass
 class PathInGraph:
-    """Edge path: vertices are canonical elements, label is the formal word
-    spelling the edges.  Periodic lines carry their phase vertices."""
+    """Edge path: vertices are rendered path states (normal forms on the
+    free and free product backends, Dehn-reduced words on Dehn), label is
+    the formal word spelling the edges.  Periodic lines carry their phase
+    vertices."""
 
     vertices: list[str]
     label: str
@@ -113,9 +115,10 @@ def quasi_geodesic_check(path: PathInGraph, params: QuasiParams, backend) -> lis
     the threshold, and raises BudgetExceeded otherwise.
 
     For each i one state, anchored at v_i, follows the label, and
-    backend.state_dist reads d(v_i, v_j) off it.  With kappa = kn/kd and
-    eps = en/ed, d < (j - i)/kappa - eps is
-    kn * (d * ed + en) < (j - i) * kd * ed, tested in integers."""
+    backend.state_dist reads d(v_i, v_j) off it: the stack's length on the
+    free and free product backends, and one ball lookup of the Dehn-reduced
+    stack on Dehn.  With kappa = kn/kd and eps = en/ed, d < (j - i)/kappa -
+    eps is kn * (d * ed + en) < (j - i) * kd * ed, tested in integers."""
     violations = []
     label = path.label
     kn, kd = params.kappa.numerator, params.kappa.denominator
@@ -259,19 +262,23 @@ def stable_norm_estimate(backend, g: str, n_max: int):
     """min over 1 <= n <= n_max of |g^n| / n; a valid upper bound on the
     stable norm, which is the infimum of that sequence.
 
+    One state stands for g^n: each step appends the letters of g to it.
     Where |g^n| is not exact within the backend's budget, the length of
-    the word the backend gives for g^n bounds it from above and stands in
-    for it, so the minimum is still an upper bound.  The certificate then
-    names those n."""
+    the state, a word for g^n (Dehn-reduced on Dehn), bounds it from above
+    and stands in for it, so the minimum is still an upper bound.  The
+    certificate then names those n."""
     if n_max < 1:
         raise GeometryError("n_max must be >= 1")
+    backend.check_word(g)
     best = None
-    power = ""
+    power = backend.parse_state("")
     by_word = []
     for n in range(1, n_max + 1):
-        power = backend.mul(power, g)
-        length, cert = backend.length(power)
-        if cert != "exact":
+        for c in g:
+            backend.append_letter(power, c)
+        try:
+            length = backend.state_dist(power)
+        except BudgetExceeded:
             length = len(power)
             by_word.append(str(n))
         val = Fraction(length, n)
@@ -284,16 +291,20 @@ def stable_norm_estimate(backend, g: str, n_max: int):
 def classify_element(backend, g: str, n_max: int = 12) -> str:
     """'elliptic', 'loxodromic', or 'undecided'.  Exact where the backend
     gives a conjugacy core; otherwise g is elliptic if a power up to n_max
-    is trivial, and undecided if none is."""
+    is trivial, and undecided if none is.  The powers are one state that
+    each step appends the letters of g to, and a state is empty iff it
+    stands for the identity (on Dehn it is Dehn-reduced, see backends)."""
+    # is_identity checks g's letters before append_letter reads them
     if backend.is_identity(g):
         return "elliptic"
     exact = backend.conjugacy_core(g)
     if exact is not None:
         return "loxodromic" if len(exact[1]) > backend.elliptic_core_len else "elliptic"
-    power = ""
+    power = backend.parse_state("")
     for _ in range(n_max):
-        power = backend.mul(power, g)
-        if backend.is_identity(power):
+        for c in g:
+            backend.append_letter(power, c)
+        if not power:
             return "elliptic"
     return "undecided"
 
@@ -342,7 +353,12 @@ def acylindricity_profile(backend, eps: int, radius: int):
     """Observed acylindricity constants on ball(radius): for each threshold R,
     the max over g with R <= |g| <= radius of the number of f with
     |f| <= eps and |g^-1 f g| <= eps; returns the smallest R >= 1 where that
-    max stabilizes together with the stabilized count N."""
+    max stabilizes together with the stabilized count N.
+
+    Each conjugate is a copy of the state of g^-1 with the letters of f g
+    appended, and state_dist gives its length; a length beyond the budget
+    does not count.  Ball elements are words over the generators, so no
+    letter needs checking."""
     if eps > radius:
         raise GeometryError("need eps <= radius")
     ball = backend.ball(radius)
@@ -351,12 +367,17 @@ def acylindricity_profile(backend, eps: int, radius: int):
     for g, d in ball.items():
         if d < 1:
             continue
-        ginv = backend.inv(g)
+        ginv = backend.parse_state(inverse_word(g))
         c = 0
         for f in small:
-            n, cert = backend.length(ginv + f + g)
-            if cert == "exact" and n <= eps:
-                c += 1
+            state = list(ginv)
+            for letter in f + g:
+                backend.append_letter(state, letter)
+            try:
+                if backend.state_dist(state) <= eps:
+                    c += 1
+            except BudgetExceeded:
+                pass
         counts[g] = (d, c)
     max_at = {}
     for r_thr in range(1, radius + 1):

@@ -89,9 +89,11 @@ def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
                              {**details, "reason": "endpoints farther than r"})
     # A = phase vertex of the q-line, B = phase vertex of the p-line
     z = backend.mul(backend.inv(backend.normal_form(x_q)), backend.normal_form(x_p))
-    bn = ""
+    power = backend.parse_state("")  # b's letters were checked above
     for n in range(1, max_exponent + 1):
-        bn = backend.mul(bn, b)
+        for c in b:
+            backend.append_letter(power, c)
+        bn = backend.render(power)
         if backend.equal(backend.mul(z, bn), backend.mul(bn, z)):
             # re-verify via the conjugation form before emitting
             if not backend.equal(backend.mul(backend.mul(backend.inv(z), bn), z), bn):
@@ -102,13 +104,16 @@ def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
 
 
 def _powers(backend, g: str, n: int) -> dict[int, str]:
-    """{k: g^k for 0 < |k| <= n}, one mul per power."""
+    """{k: g^k for 0 < |k| <= n}: one state per sign, which each power
+    appends the letters of g or of inv(g) to, rendered once per power."""
+    backend.check_word(g)
     out = {}
     for sign, base in ((1, g), (-1, backend.inv(g))):
-        acc = ""
+        acc = backend.parse_state("")
         for k in range(1, n + 1):
-            acc = backend.mul(acc, base)
-            out[sign * k] = acc
+            for c in base:
+                backend.append_letter(acc, c)
+            out[sign * k] = backend.render(acc)
     return out
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -578,3 +579,38 @@ def test_one_cell_lookup_matches_dehn_reduction(presentation, functionals, radiu
     # short are identical
     assert checked > 3000
     assert found > 100 if halves else found == 0
+
+
+DEHN_STATE_BACKENDS = {"genus2": DehnBackend(SURFACE_GENUS2),
+                       "one-relator": DehnBackend(SCAN_PATH_CASES[0][0]),
+                       "two-relator": DehnBackend(SCAN_PATH_CASES[1][0])}
+
+
+@pytest.mark.parametrize("d", DEHN_STATE_BACKENDS.values(), ids=DEHN_STATE_BACKENDS.keys())
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_dehn_state_matches_reduction(d, data):
+    """A word pushed onto a state in pieces, the first by parse_state and
+    the others letter by letter, renders after each piece as the Dehn
+    reduction of the word so far.  state_dist is then the prefix's length
+    where that is exact and raises dist's BudgetExceeded where it is not."""
+    sym = d.presentation.symmetrized()
+    arcs = [rho[:k] for rho in sym for k in range(len(rho) // 2, len(rho) + 1)]
+    chunks = st.one_of(st.text(alphabet="".join(d.letters), max_size=5),
+                       st.sampled_from(arcs), st.sampled_from(arcs).map(inverse_word))
+    word = "".join(data.draw(st.lists(chunks, max_size=6)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(word)), min_size=1, max_size=4)))
+    state = d.parse_state(word[:cuts[0]])
+    for lo, hi in zip(cuts, cuts[1:] + [len(word)]):
+        for c in word[lo:hi]:
+            d.append_letter(state, c)
+        prefix = word[:hi]
+        assert d.render(state) == d.dehn_reduce(prefix), (word, cuts)
+        n, cert = d.length(prefix)
+        if cert == "exact":
+            assert d.state_dist(state) == n
+        else:
+            with pytest.raises(BudgetExceeded) as expected:
+                d.dist("", prefix)
+            with pytest.raises(BudgetExceeded, match=f"^{re.escape(str(expected.value))}$"):
+                d.state_dist(state)

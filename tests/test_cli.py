@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from periodlines.backends import DehnBackend
+from periodlines.backends import SURFACE_GENUS2, DehnBackend
+from periodlines.freewords import inverse_word
 from periodlines.cli import main
 
 PROFILE = {
@@ -291,6 +292,30 @@ def test_genus2_acyl_profile_never_scans(capsys, tmp_path, monkeypatch):
                  "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == {"R": 1, "N": 3}
     assert calls == []
+
+
+@pytest.mark.parametrize("a,x,n_min,n_max", [
+    ("Bc", "abA", 0, 2), ("abA", "CD", 0, 2), ("Adc", "aB", -1, 2), ("ab", "cd", -2, 2),
+    ("dd", "D", 0, 3),
+])
+def test_genus2_line_vertices_are_dehn_reduced(capsys, tmp_path, a, x, n_min, n_max):
+    # A Dehn path vertex renders its path state, the Dehn-reduced stack:
+    # on L(abA, Bc) the freely reduced abABc, five letters of the relator
+    # abABcdCD, is printed as the other three, dcD.  Every vertex is
+    # x a^n_min times the label's prefix in the group.
+    pres = tmp_path / "genus2.txt"
+    pres.write_text("gens: a,b,c,d\nrel: abABcdCD\n")
+    assert main(["line", "--backend", f"dehn:{pres}", "--a", a, "--x", x, "--n-min", str(n_min),
+                 "--n-max", str(n_max), "--json"]) == 0
+    line = json.loads(capsys.readouterr().out)["result"]
+    if (a, x) == ("Bc", "abA"):
+        assert line["vertices"] == ["abA", "abAB", "dcD", "dcDB", "dcDBc"]
+    d = DehnBackend(SURFACE_GENUS2)
+    start = x + (a if n_min > 0 else inverse_word(a)) * abs(n_min)
+    assert len(line["vertices"]) == len(line["label"]) + 1
+    for i, v in enumerate(line["vertices"]):
+        assert d.dehn_reduce(v) == v
+        assert d.equal(v, start + line["label"][:i]), (i, v)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

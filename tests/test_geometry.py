@@ -17,7 +17,7 @@ from periodlines.backends import (
     FreeProductBackend,
 )
 from periodlines import geometry
-from periodlines.freewords import cyclic_reduce, inverse_word
+from periodlines.freewords import cyclic_reduce, free_reduce, inverse_word
 from periodlines.geometry import (
     GeometryError,
     PathInGraph,
@@ -37,7 +37,14 @@ from periodlines.geometry import (
     slimness,
     stable_norm_estimate,
 )
+from periodlines.harness import _powers
 from path_metric_reference import hausdorff_reference, quasi_geodesic_reference
+from power_loop_reference import (
+    acylindricity_profile_reference,
+    classify_element_reference,
+    powers_reference,
+    stable_norm_estimate_reference,
+)
 from slimness_reference import slimness_reference
 
 FREE = FreeBackend(2)
@@ -388,6 +395,69 @@ def test_acylindricity_profile_free():
 def test_acylindricity_profile_eps_bound():
     with pytest.raises(GeometryError):
         acylindricity_profile(FREE, 3, 2)
+
+
+class _NoCoreFP(FreeProductBackend):
+    """Z/2*Z/3 without its conjugacy core, so that classification runs the
+    power loop on a group with torsion."""
+
+    def conjugacy_core(self, g):
+        return None
+
+
+POWER_LOOP_BACKENDS = {"free": FREE, "zmzn": FP, "zmzn-power-loop": _NoCoreFP((2, 3)),
+                       "genus2": DEHN}
+
+
+def _power_loop_words(backend):
+    """Ball words, random words over every accepted letter (the order-2
+    alias X on Z/2*Z/3), and on Dehn arcs of symmetrized relators, whose
+    powers need Dehn rewrites."""
+    rng = random.Random(17)
+    letters = sorted(backend._letterset)
+    words = list(backend.ball(2))
+    words += ["".join(rng.choice(letters) for _ in range(rng.randint(1, 7))) for _ in range(150)]
+    if isinstance(backend, DehnBackend):
+        words += [rho[i:i + k] for rho in backend.presentation.symmetrized()[:8]
+                  for i in range(4) for k in (3, 4, 5, 6)]
+    return words
+
+
+@pytest.mark.parametrize("backend", POWER_LOOP_BACKENDS.values(), ids=POWER_LOOP_BACKENDS.keys())
+def test_power_loops_match_mul_reference(backend):
+    """Power loops that append letters to one state give the outputs of
+    the loops that multiply whole words, and a letter outside the
+    generating set still raises BackendError."""
+    words = _power_loop_words(backend)
+    assert any("X" in w for w in words) == ("X" in backend._letterset)
+    torsion = rewritten = 0
+    for g in words:
+        cls = classify_element(backend, g, 8)
+        assert cls == classify_element_reference(backend, g, 8), g
+        assert stable_norm_estimate(backend, g, 6) == stable_norm_estimate_reference(backend, g, 6), g
+        assert _powers(backend, g, 4) == powers_reference(backend, g, 4), g
+        torsion += cls == "elliptic" and not backend.is_identity(g)
+        rewritten += backend is DEHN and backend.dehn_reduce(g * 4) != free_reduce(g * 4)
+    assert (torsion > 20) == isinstance(backend, FreeProductBackend)
+    assert (rewritten > 20) == (backend is DEHN)
+    bad = backend.letters[0] + "q"
+    for call in (lambda: classify_element(backend, bad), lambda: stable_norm_estimate(backend, bad, 3),
+                 lambda: _powers(backend, bad, 2)):
+        with pytest.raises(BackendError, match="^letter 'q' not in generating set$"):
+            call()
+
+
+@pytest.mark.parametrize("make, eps, radius", [
+    (lambda: FREE, 0, 2), (lambda: FREE, 1, 3), (lambda: FP, 1, 4), (lambda: FP, 2, 5),
+    (lambda: FP33, 2, 4), (lambda: FP22, 1, 3),
+    (lambda: DehnBackend(SURFACE_GENUS2), 1, 3),
+    # budget 3: conjugates longer than the budget are not counted
+    (lambda: DehnBackend(SURFACE_GENUS2, max_radius=3), 2, 3),
+], ids=["free-0-2", "free-1-3", "zmzn23-1-4", "zmzn23-2-5", "zmzn33-2-4", "zmzn22-1-3",
+        "genus2-1-3", "genus2-budget3-2-3"])
+def test_acylindricity_profile_matches_mul_reference(make, eps, radius):
+    assert acylindricity_profile(make(), eps, radius) == \
+        acylindricity_profile_reference(make(), eps, radius)
 
 
 def _brute_contains(p, q, r, backend):
