@@ -100,7 +100,9 @@ class _Backend:
     - commensurate(a, b): (witness, certificate) from an exact oracle, or
       None;
     - centralizer_note(z, b): extra lemma 4.1 details, or {};
-    - sharp_periods: the exact period threshold at r = 0, or None.
+    - sharp_periods: the exact period threshold at r = 0, or None;
+    - canonical_forms: whether equal elements always have equal normal
+      forms (nf_exact is always true).
 
     The code here assumes canonical normal forms that are geodesic words,
     and its dist and conjugacy_core hold in free groups (conjugacy_core in
@@ -110,6 +112,7 @@ class _Backend:
 
     elliptic_core_len = 0
     sharp_periods = None
+    canonical_forms = True
 
     def __init__(self, letters: list[str], aliases: str = ""):
         self.letters = letters
@@ -505,6 +508,8 @@ class DehnBackend(_Backend):
     bucket by bucket (see _same_element).  On genus 2, L2 = 14: growing
     the ball to radius 6 never scans, and at the default budget neither
     does a lookup of a word whose Dehn reduction is at most 9 letters long.
+    A Dehn-reduced u with 2 |u| <= L2 is a geodesic (see _member): length,
+    dist and state_dist read |u| off such a u without growing the ball.
 
     A path state is the stack of the real-time reduction (see _push):
     parse_state pushes a word onto an empty stack and append_letter pushes
@@ -512,6 +517,8 @@ class DehnBackend(_Backend):
     parse_state(w) by the letters of v renders as dehn_reduce(w + v).  It
     is Dehn-reduced, so state_dist looks it up without reducing it again.
     """
+
+    canonical_forms = False  # only within the budget ball
 
     def __init__(self, presentation: Presentation, max_radius: int = 4):
         if not verify_small_cancellation(presentation, 6):
@@ -659,6 +666,11 @@ class DehnBackend(_Backend):
         index lookup per occurrence.  Only layers from L2 - |u| on are
         scanned.  At most one element equals u, so the order of the checks
         does not change the answer.
+
+        Lemma: if 2 |u| <= L2, u is a geodesic.  Proof: a geodesic v for
+        u's element is no longer than u; were it shorter, |u| + |v| <=
+        2 |u| - 1 < L2 would give |v| = |u| by the above.  On genus 2 this
+        holds for |u| <= 7, and _ball_length reads such lengths off u.
         """
         if len(u) <= radius:
             idx = self._index.get(u)
@@ -744,19 +756,31 @@ class DehnBackend(_Backend):
     def nf_exact(self, w: str) -> bool:
         return self._lookup(w)[0] is not None
 
+    def _ball_length(self, red: str) -> int | None:
+        """Length of the element of the Dehn-reduced word red if it lies in
+        the budget ball, or None; read off red where _member's argument
+        decides it."""
+        n, radius = len(red), self.max_radius
+        if n <= radius and 2 * n <= self._l2:
+            return n
+        if n > radius and n + radius < self._l2:
+            return None
+        idx = self._find(red)
+        return None if idx is None else len(self._canon[idx])
+
     def length(self, g: str) -> tuple[int, str]:
-        idx, _ = self._lookup(g)
-        if idx is not None:
-            return len(self._canon[idx]), "exact"
+        n = self._ball_length(self.dehn_reduce(g))
+        if n is not None:
+            return n, "exact"
         return self.max_radius, f"lower_bound({self.max_radius})"
 
-    def _certified_length(self, idx: int | None) -> int:
-        if idx is None:
+    def _certified_length(self, n: int | None) -> int:
+        if n is None:
             raise BudgetExceeded(f"distance not certified within radius {self.max_radius}")
-        return len(self._canon[idx])
+        return n
 
     def dist(self, u: str, v: str) -> int:
-        return self._certified_length(self._lookup(inverse_word(u) + v)[0])
+        return self._certified_length(self._ball_length(self.dehn_reduce(inverse_word(u) + v)))
 
     def geodesic_word(self, g: str) -> str:
         idx, _ = self._lookup(g)
@@ -776,7 +800,7 @@ class DehnBackend(_Backend):
     def state_dist(self, state: list[str]) -> int:
         # a Dehn-reduced stack can be longer than a geodesic: look it up as
         # it stands, since reducing it again would not change it
-        return self._certified_length(self._find(self.render(state)))
+        return self._certified_length(self._ball_length(self.render(state)))
 
     def conjugacy_core(self, g: str) -> None:
         # no cyclic Dehn reduction yet: callers fall back to bounded searches

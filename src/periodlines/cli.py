@@ -296,125 +296,85 @@ def cmd_threshold(args):
     return 0 if m is not None else HYPOTHESIS_EXIT
 
 
-def build_parser() -> _Parser:
+REQ = {"required": True}
+REQ_INT = {"type": int, "required": True}
+FLAG = {"action": "store_true"}
+EMPTY = {"default": ""}
+FREE2 = {"default": "free:2"}
+
+
+def _int(default=None):
+    return {"type": int, "default": default}
+
+
+# name: (handler, help, {option: add_argument keywords}); every command also
+# takes --json and --out
+COMMANDS = {
+    "periods": (cmd_periods, "period lengths of a word", {"--word": REQ}),
+    "fine-wilf": (cmd_fine_wilf, "common period root of two periods",
+                  {"--word": REQ, "-p": REQ_INT, "-q": REQ_INT}),
+    "primroot": (cmd_primroot, "primitive root of a word", {"--word": REQ}),
+    "free-reduce": (cmd_free_reduce, "free-group reduction", {"--word": REQ}),
+    "overlap-root": (cmd_overlap_root, "common root of two free-group lines",
+                     {"--a": REQ, "--b": REQ}),
+    "commensurate": (cmd_commensurate, "commensurability witness search", {
+        "--a": REQ, "--b": REQ, "--backend": FREE2, "--max-exponent": _int(8),
+        "--conjugator-bound": _int(4)}),
+    "delta": (cmd_delta, "hyperbolicity constant estimate", {
+        "--backend": REQ, "--radius": _int(3), "--sample": _int(20000), "--seed": _int(0)}),
+    "stable-norm": (cmd_stable_norm, "stable norm estimate",
+                    {"--backend": REQ, "--g": REQ, "--n-max": _int(8)}),
+    "classify": (cmd_classify, "elliptic/loxodromic classification",
+                 {"--backend": REQ, "--g": REQ, "--n-max": _int(12)}),
+    "inj-radius": (cmd_inj_radius, "injectivity radius estimate",
+                   {"--backend": REQ, "--length-bound": _int(3), "--n-max": _int(8)}),
+    "acyl-profile": (cmd_acyl_profile, "observed acylindricity constants",
+                     {"--backend": REQ, "--eps": _int(0), "--radius": _int(4)}),
+    "line": (cmd_line, "periodic line window", {
+        "--backend": REQ, "--x": EMPTY, "--a": REQ, "--n-min": _int(0), "--n-max": _int(2)}),
+    "constants": (cmd_constants, "constant pipeline for a profile",
+                  {"--profile": REQ, "--r": {"type": int, "nargs": "+", "default": [0]}}),
+    "fourgon-selfcheck": (cmd_fourgon_selfcheck, "random 4-gon identity checks",
+                          {"--backend": FREE2, "--count": _int(50), "--seed": _int(0)}),
+    "lemma41": (cmd_lemma41, "parallel periodic lines centralizer check", {
+        "--backend": REQ, "--b": REQ, "--x-p": EMPTY, "--x-q": EMPTY, "--window": _int(8),
+        "--r": _int(0), "--profile": {}, "--max-exponent": _int(8)}),
+    "theorem": (cmd_theorem, "overlap theorem harness", {
+        "--backend": REQ, "--a": {}, "--b": {}, "--x": EMPTY, "--y": EMPTY, "--r": _int(0),
+        "--sharp-free": FLAG, "--profile": {}, "--periods": _int(), "--max-exponent": _int(8),
+        "--batch": {"help": "JSON array of instances"}}),
+    "threshold": (cmd_threshold, "empirical period threshold", {
+        "--backend": FREE2, "--a": REQ, "--b": REQ, "--x": EMPTY, "--y": EMPTY, "--r": _int(0),
+        "--max-periods": _int(8), "--max-exponent": _int(8), "--sweep": FLAG, "--csv": FLAG}),
+}
+
+
+def build_parser(names=COMMANDS) -> _Parser:
+    """The parser with the named subcommands, all by default."""
     parser = _Parser(prog="periodlines")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name in names:
+        func, help_text, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit a JSON record")
         p.add_argument("--out", help="write the JSON record to a file")
-        return p
-
-    p = add("periods", cmd_periods, help="period lengths of a word")
-    p.add_argument("--word", required=True)
-
-    p = add("fine-wilf", cmd_fine_wilf, help="common period root of two periods")
-    p.add_argument("--word", required=True)
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
-
-    p = add("primroot", cmd_primroot, help="primitive root of a word")
-    p.add_argument("--word", required=True)
-
-    p = add("free-reduce", cmd_free_reduce, help="free-group reduction")
-    p.add_argument("--word", required=True)
-
-    p = add("overlap-root", cmd_overlap_root, help="common root of two free-group lines")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-    p = add("commensurate", cmd_commensurate, help="commensurability witness search")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--backend", default="free:2")
-    p.add_argument("--max-exponent", type=int, default=8)
-    p.add_argument("--conjugator-bound", type=int, default=4)
-
-    p = add("delta", cmd_delta, help="hyperbolicity constant estimate")
-    p.add_argument("--backend", required=True)
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--sample", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("stable-norm", cmd_stable_norm, help="stable norm estimate")
-    p.add_argument("--backend", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--n-max", type=int, default=8)
-
-    p = add("classify", cmd_classify, help="elliptic/loxodromic classification")
-    p.add_argument("--backend", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--n-max", type=int, default=12)
-
-    p = add("inj-radius", cmd_inj_radius, help="injectivity radius estimate")
-    p.add_argument("--backend", required=True)
-    p.add_argument("--length-bound", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=8)
-
-    p = add("acyl-profile", cmd_acyl_profile, help="observed acylindricity constants")
-    p.add_argument("--backend", required=True)
-    p.add_argument("--eps", type=int, default=0)
-    p.add_argument("--radius", type=int, default=4)
-
-    p = add("line", cmd_line, help="periodic line window")
-    p.add_argument("--backend", required=True)
-    p.add_argument("--x", default="")
-    p.add_argument("--a", required=True)
-    p.add_argument("--n-min", type=int, default=0)
-    p.add_argument("--n-max", type=int, default=2)
-
-    p = add("constants", cmd_constants, help="constant pipeline for a profile")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--r", type=int, nargs="+", default=[0])
-
-    p = add("fourgon-selfcheck", cmd_fourgon_selfcheck, help="random 4-gon identity checks")
-    p.add_argument("--backend", default="free:2")
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("lemma41", cmd_lemma41, help="parallel periodic lines centralizer check")
-    p.add_argument("--backend", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--x-p", default="")
-    p.add_argument("--x-q", default="")
-    p.add_argument("--window", type=int, default=8)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--profile")
-    p.add_argument("--max-exponent", type=int, default=8)
-
-    p = add("theorem", cmd_theorem, help="overlap theorem harness")
-    p.add_argument("--backend", required=True)
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--x", default="")
-    p.add_argument("--y", default="")
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--sharp-free", action="store_true")
-    p.add_argument("--profile")
-    p.add_argument("--periods", type=int)
-    p.add_argument("--max-exponent", type=int, default=8)
-    p.add_argument("--batch", help="JSON array of instances")
-
-    p = add("threshold", cmd_threshold, help="empirical period threshold")
-    p.add_argument("--backend", default="free:2")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--x", default="")
-    p.add_argument("--y", default="")
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--max-periods", type=int, default=8)
-    p.add_argument("--max-exponent", type=int, default=8)
-    p.add_argument("--sweep", action="store_true")
-    p.add_argument("--csv", action="store_true")
-
+        for option, keywords in options.items():
+            p.add_argument(option, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A call builds only its own subcommand's parser.  The full one prints
+    # the top-level help and the top-level usage errors: no command, an
+    # unknown one, and arguments that the subcommand does not know.
+    if argv and argv[0] in COMMANDS:
+        args, unknown = build_parser(argv[:1]).parse_known_args(argv)
+        if unknown:
+            build_parser().parse_args(argv)
+    else:
+        args = build_parser().parse_args(argv)
     args.start_time = time.perf_counter()
     try:
         return args.func(args)

@@ -8,6 +8,7 @@ within bounds" is an unknown, except where an exact oracle exists (free
 backend commensurability).
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -126,15 +127,24 @@ def _witness_search(backend, a: str, b: str, x: str, y: str, max_exponent: int):
     powers_a = _powers(backend, a, max_exponent)
     powers_b = _powers(backend, b, max_exponent)
     conj_b = {s: backend.mul(backend.mul(u, bs), u_inv) for s, bs in powers_b.items()}
-    candidates = sorted(
-        ((s, t) for s in powers_b for t in powers_a),
-        key=lambda st: (abs(st[0]) + abs(st[1]), st),
-    )
-    for s, t in candidates:
-        if backend.equal(conj_b[s], powers_a[t]):
-            if not backend.equal(backend.mul(backend.mul(u_inv, powers_a[t]), u), powers_b[s]):
-                raise RuntimeError("witness failed re-verification")
-            return {"s": s, "t": t}
+
+    def order(st):
+        return abs(st[0]) + abs(st[1]), st
+
+    if backend.canonical_forms:
+        # equal elements have equal normal forms, and powers and products
+        # are normal forms: one lookup per s finds its first t in the order
+        first_t = {}
+        for t in sorted(powers_a, key=lambda t: (abs(t), t)):
+            first_t.setdefault(powers_a[t], t)
+        hits = sorted(((s, first_t[w]) for s, w in conj_b.items() if w in first_t), key=order)
+    else:
+        hits = (st for st in sorted(itertools.product(powers_b, powers_a), key=order)
+                if backend.equal(conj_b[st[0]], powers_a[st[1]]))
+    for s, t in hits:
+        if not backend.equal(backend.mul(backend.mul(u_inv, powers_a[t]), u), powers_b[s]):
+            raise RuntimeError("witness failed re-verification")
+        return {"s": s, "t": t}
     return None
 
 

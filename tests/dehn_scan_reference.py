@@ -1,6 +1,8 @@
 """The Dehn backend with ball membership decided by the bucket scan alone,
 the reference the one-cell rewrites of DehnBackend._member are tested
-against.
+against, and the Dehn lengths read off the bucket scan alone (ScanLengths),
+the reference for the lengths DehnBackend._ball_length reads off short
+Dehn-reduced words.
 
 Run as a script, it builds two radius-6 balls both ways and compares them
 item for item, in order, exiting 1 on any difference:
@@ -26,10 +28,28 @@ CASES = [
 ]
 
 
-class ScanDehn(DehnBackend):
+class ScanLengths(DehnBackend):
+    """Lengths by the bucket scan: the element of a Dehn-reduced word u is
+    no longer than u, so its length is that of the element of the layers
+    below |u| that the scan finds, or else |u| itself, and beyond the
+    budget it is not certified.  This does not use the lemma that a
+    Dehn-reduced u with 2 |u| <= L2 is a geodesic.  The ball itself is
+    built by DehnBackend's one-cell rewrites."""
+
+    def _ball_length(self, red):
+        below = min(len(red), self.max_radius + 1) - 1
+        self._grow(max(below, 0))
+        idx = self._scan(red, range(below + 1))
+        if idx is not None:
+            return len(self._canon[idx])
+        return len(red) if len(red) <= self.max_radius else None
+
+
+class ScanDehn(ScanLengths):
     """Every layer up to the radius is scanned: u is compared with each
     member of its bucket by _same_element, by Greendlinger's lemma up to
-    the shortest relator length and by Dehn reduction beyond."""
+    the shortest relator length and by Dehn reduction beyond.  Lengths are
+    scanned too (ScanLengths)."""
 
     def _member(self, u, radius):
         idx = self._index.get(u)

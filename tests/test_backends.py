@@ -22,7 +22,7 @@ from periodlines.backends import (
 )
 from periodlines.freewords import free_reduce, inverse_word, is_cyclically_reduced
 from periodlines.words import primitive_root
-from dehn_scan_reference import ScanDehn
+from dehn_scan_reference import ScanDehn, ScanLengths
 from zmzn_reference import zmzn_normal_form
 
 
@@ -517,6 +517,9 @@ def test_genus2_two_cell_lookup_at_the_bound(genus2_r6):
     for w in _two_cells(SURFACE_GENUS2):
         u, v = w[3:11], inverse_word(w[11:] + w[:3])
         assert d.dehn_reduce(u) == u
+        # a Dehn-reduced word of L2 / 2 + 1 letters that is no geodesic: the
+        # lemma that 2 |u| <= L2 makes u a geodesic is sharp
+        assert len(u) == 14 // 2 + 1
         assert d.length(u) == (6, "exact") and d.nf_exact(v)
         assert d.normal_form(u) == d.normal_form(v)
         cases += 1
@@ -614,3 +617,47 @@ def test_dehn_state_matches_reduction(d, data):
                 d.dist("", prefix)
             with pytest.raises(BudgetExceeded, match=f"^{re.escape(str(expected.value))}$"):
                 d.state_dist(state)
+
+
+# A scan-built ball(6) takes minutes on genus 2, so at budget 6 the lengths
+# are scanned over the one-cell ball (ScanLengths), which
+# dehn_scan_reference.main checks against the scan-built one.
+SHORT_LENGTH_REFERENCES = {
+    f"{name}-r{budget}": (d.presentation, budget, (ScanDehn if budget == 4 else ScanLengths)(
+        d.presentation, max_radius=budget))
+    for name, d in DEHN_STATE_BACKENDS.items() for budget in (4, 6)}
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except BudgetExceeded as exc:
+        return f"BudgetExceeded: {exc}"
+
+
+@pytest.mark.parametrize("presentation, budget, ref", SHORT_LENGTH_REFERENCES.values(),
+                         ids=SHORT_LENGTH_REFERENCES.keys())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dehn_short_reduced_lengths_match_scan(presentation, budget, ref, data):
+    """A Dehn-reduced word u with 2 |u| <= L2 is a geodesic, and beyond
+    the budget no ball element equals it: on a fresh backend, length, dist
+    and state_dist read these answers off u and agree with the scan
+    reference, BudgetExceeded messages included, without growing the
+    ball."""
+    d = DehnBackend(presentation, max_radius=budget)
+    sym = presentation.symmetrized()
+    arcs = [rho[:k] for rho in sym for k in range(len(rho) // 2, len(rho) + 1)]
+    chunks = st.one_of(st.text(alphabet="".join(d.letters), max_size=5),
+                       st.sampled_from(arcs), st.sampled_from(arcs).map(inverse_word))
+    word = "".join(data.draw(st.lists(chunks, max_size=6)))
+    # a prefix of a Dehn-reduced word is Dehn-reduced
+    u = d.dehn_reduce(word)[:one_cell_bound(presentation) // 2]
+    k = data.draw(st.integers(0, len(u)))
+    state = d.parse_state(u[:k])
+    for c in u[k:]:
+        d.append_letter(state, c)
+    got = (d.length(u), _outcome(d.dist, inverse_word(u[:k]), u[k:]), _outcome(d.state_dist, state))
+    assert len(d._layer_start) == 2, u
+    expected = (ref.length(u), _outcome(ref.dist, "", u), _outcome(ref.state_dist, list(u)))
+    assert got == expected, u

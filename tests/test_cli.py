@@ -1,13 +1,15 @@
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
 from periodlines.backends import SURFACE_GENUS2, DehnBackend
 from periodlines.freewords import inverse_word
-from periodlines.cli import main
+from periodlines import cli
+from periodlines.cli import COMMANDS, build_parser, main
 
 PROFILE = {
     "delta": "0",
@@ -201,6 +203,54 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 64
+
+
+def _required_options(name):
+    return [a for opt, kw in COMMANDS[name][2].items() if kw.get("required") for a in (opt, "1")]
+
+
+# --help, a missing required argument and an unknown one for every command
+# (fourgon-selfcheck requires none), then bare periodlines, its --help and
+# an unknown command
+PARSE_CASES = [[name, "--help"] for name in COMMANDS] + \
+    [[name] for name in COMMANDS if _required_options(name)] + \
+    [[name, *_required_options(name), "--bogus"] for name in COMMANDS] + \
+    [[], ["--help"], ["not-a-command"]]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=[" ".join(a) or "bare" for a in PARSE_CASES])
+def test_one_command_parser_matches_full_parser(capsys, argv):
+    """main builds only the invoked command's parser, yet prints what the
+    full parser prints, byte for byte, and exits with its code."""
+    outputs = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        outputs.append((exc.value.code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == (0 if "--help" in argv else 64)
+
+
+def test_command_table_is_the_full_parsers_choices():
+    choices = build_parser()._subparsers._group_actions[0].choices
+    assert list(choices) == list(COMMANDS)
+
+
+def test_main_builds_only_the_invoked_parser(capsys, monkeypatch):
+    built = []
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda names=COMMANDS: built.append(list(names)) or full(names))
+    assert main(["periods", "--word", "abab"]) == 0
+    assert built == [["periods"]]
+    assert capsys.readouterr().out.endswith('result: {"periods": [2, 4]}\n')
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no argv
+    monkeypatch.setattr(sys, "argv", ["periodlines", "periods", "--word", "abab", "--json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"periods": [2, 4]}
 
 
 def test_bad_backend_is_runtime_error(capsys):

@@ -386,6 +386,22 @@ def test_injectivity_radius():
     assert val == 2  # shortest loxodromic is xy
 
 
+def test_genus2_stable_norm_grows_no_layer():
+    # a^n is Dehn-reduced and 2 n <= L2 = 14, so each |a^n| is read off
+    # the word without the ball
+    d = DehnBackend(SURFACE_GENUS2)
+    assert stable_norm_estimate(d, "a", 4) == (Fraction(1), "upper_bound(n_max=4)")
+    assert d._layer_start == [0, 1]
+
+
+def test_genus2_acylindricity_profile_grows_nothing_past_its_radius():
+    # a conjugate g^-1 f g reduces to at most 9 letters, and 9 + 4 < L2 =
+    # 14, so one beyond the budget needs no layer 4
+    d = DehnBackend(SURFACE_GENUS2)
+    assert acylindricity_profile(d, 1, 3) == (1, 3, "observed_on_ball(3)")
+    assert len(d._layer_start) == 3 + 2
+
+
 def test_acylindricity_profile_free():
     r_est, n_est, cert = acylindricity_profile(FREE, 0, 2)
     assert (r_est, n_est) == (1, 1)

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,11 @@ from periodlines.harness import (
     empirical_period_threshold,
     lemma41_check,
     main_theorem_check,
+    _witness_search,
     weak_theorem_check,
 )
+from periodlines.freewords import is_cyclically_reduced, overlap_root, rotate
+from witness_search_reference import witness_search_reference
 from zmzn_reference import zmzn_normal_form
 
 FREE = FreeBackend(2)
@@ -165,3 +170,44 @@ def test_empirical_threshold_same_line():
 def test_empirical_threshold_non_commensurable():
     assert empirical_period_threshold(FREE, "ab", "ba", "", "bb", 0,
                                       max_periods=4) is None
+
+
+def _acceptance4_pairs():
+    """The instances of acceptance 4: pairs of cyclically reduced rank-2
+    words of length 1..4, rotated onto their common axis where one exists,
+    with whether one does."""
+    corpus = [w for n in range(1, 5) for w in map("".join, itertools.product("abAB", repeat=n))
+              if is_cyclically_reduced(w)]
+    for a in corpus:
+        for b in corpus:
+            if len(a) >= len(b):
+                res = overlap_root(a, b)
+                if res is None:
+                    yield a, b, False
+                else:
+                    yield rotate(a, res.shift_a), rotate(b, res.shift_b), True
+
+
+def test_witness_search_matches_pairwise_reference():
+    """The lookup by normal form finds the pairwise loop's witness (or
+    none): on every commensurable acceptance-4 pair and every 16th other
+    one (the reference tries all 256 pairs (s, t) there), and on Z/2*Z/3
+    instances, elliptic ones too, whose powers repeat."""
+    found = 0
+    for i, (a, b, commensurable) in enumerate(_acceptance4_pairs()):
+        if not commensurable and i % 16:
+            continue
+        witness = _witness_search(FREE, a, b, "", "", 8)
+        assert witness == witness_search_reference(FREE, a, b, "", "", 8), (a, b)
+        found += witness is not None
+    assert found > 100
+    rng = random.Random(31)
+    found = 0
+    for _ in range(300):
+        a, b, x, y = ("".join(rng.choice("xyY") for _ in range(rng.randint(lo, 4)))
+                      for lo in (1, 1, 0, 0))
+        n = rng.randint(1, 6)
+        witness = _witness_search(FP, a, b, x, y, n)
+        assert witness == witness_search_reference(FP, a, b, x, y, n), (a, b, x, y, n)
+        found += witness is not None
+    assert found > 50
