@@ -8,8 +8,8 @@ order a < A < b < B < ...
 
 All three backends implement the protocol of _Backend, which holds the
 code they share and every backend-specific decision the geometry and the
-harness need.  A length certificate other than "exact" means |g| > n, and
-dist is exact or raises BudgetExceeded.
+harness need.  dist is exact or raises BudgetExceeded with a certified
+lower bound, and a length certificate other than "exact" means |g| > n.
 
 Every backend also keeps mutable path states, and on every backend a
 state is a stack of letters: parse_state(w) builds one, append_letter(state,
@@ -55,7 +55,14 @@ class BackendError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A configured search radius or size budget was exhausted."""
+    """A budget ran out: BudgetExceeded(message, bound), bound a certified
+    lower bound on the length asked for (max_radius + 1 on Dehn) or None.
+    Both stay in args, so a raise runs no Python-level __init__."""
+
+    bound = property(lambda self: self.args[1])
+
+    def __str__(self):
+        return self.args[0]
 
 
 def letter_rank(c: str) -> int:
@@ -78,14 +85,16 @@ def _common_prefix_len(u: str, v: str) -> int:
 class _Backend:
     """The backend protocol, with the code the backends share.
 
-    Arithmetic: normal_form, mul, inv, equal, is_identity, nf_exact.
-    Metric: length(g) -> (n, certificate), dist(u, v) and geodesic_word(g)
-    (exact, or BudgetExceeded), ball(radius).  Path states are stacks of
-    letters on every backend: parse_state, append_letter (free cancellation
-    here; the free product and Dehn backends override both), render (a
-    join), and state_dist, the length of the element a state stands for
-    (the stack's length here; a backend whose stacks are not geodesics
-    overrides it).  On every backend a state is empty iff it stands for the
+    Arithmetic: normal_form, mul, inv, equal, is_identity.  Metric:
+    dist(u, v) and geodesic_word(g) (exact, or BudgetExceeded), ball(radius)
+    and length(g) -> (n, certificate).  Path states are stacks of letters
+    on every backend: parse_state, append_letter (free cancellation here;
+    the free product and Dehn backends override both), render (a join), and
+    state_dist, the length of the element a state stands for (the stack's
+    length here; Dehn overrides it).  length and dist are state_dist of g
+    and of u^-1 v, with "lower_bound(bound - 1)" where it raises; the free
+    and free product backends override dist by a prefix strip of their
+    normal forms.  On every backend a state is empty iff it stands for the
     identity: here and on the free product a state holds the normal form,
     and on Dehn it is Dehn-reduced, and by Dehn's lemma a nonempty
     Dehn-reduced word is nontrivial.  append_letter need not check its
@@ -102,12 +111,12 @@ class _Backend:
     - centralizer_note(z, b): extra lemma 4.1 details, or {};
     - sharp_periods: the exact period threshold at r = 0, or None;
     - canonical_forms: whether equal elements always have equal normal
-      forms (nf_exact is always true).
+      forms (on Dehn, only where length is "exact").
 
     The code here assumes canonical normal forms that are geodesic words,
-    and its dist and conjugacy_core hold in free groups (conjugacy_core in
-    free products too); a backend without these properties overrides them.
-    The other capabilities default to "not available".
+    and its conjugacy_core holds in free groups and free products; a backend
+    without these properties overrides it.  The other capabilities default
+    to "not available".
     """
 
     elliptic_core_len = 0
@@ -131,9 +140,6 @@ class _Backend:
             return w
         return free_reduce(w)
 
-    def nf_exact(self, w: str) -> bool:
-        return True
-
     def equal(self, u: str, v: str) -> bool:
         return self.normal_form(u) == self.normal_form(v)
 
@@ -147,13 +153,13 @@ class _Backend:
         return self.normal_form(inverse_word(w))
 
     def length(self, g: str) -> tuple[int, str]:
-        return len(self.normal_form(g)), "exact"
+        try:
+            return self.state_dist(self.parse_state(g)), "exact"
+        except BudgetExceeded as exc:
+            return exc.bound - 1, f"lower_bound({exc.bound - 1})"
 
     def dist(self, u: str, v: str) -> int:
-        # free reduced words live in a tree: strip the common prefix
-        u, v = self.normal_form(u), self.normal_form(v)
-        k = _common_prefix_len(u, v)
-        return (len(u) - k) + (len(v) - k)
+        return self.state_dist(self.parse_state(inverse_word(u) + v))
 
     def geodesic_word(self, g: str) -> str:
         return self.normal_form(g)
@@ -233,6 +239,12 @@ class FreeBackend(_Backend):
 
     def normal_form(self, w: str) -> str:
         return self._free_reduce(w)
+
+    def dist(self, u: str, v: str) -> int:
+        # free reduced words live in a tree: strip the common prefix
+        u, v = self.normal_form(u), self.normal_form(v)
+        k = _common_prefix_len(u, v)
+        return (len(u) - k) + (len(v) - k)
 
     def commensurate(self, a: str, b: str):
         """Exact commensurability: ({g, s, t} with a^s = g^-1 b^t g, or
@@ -508,8 +520,9 @@ class DehnBackend(_Backend):
     bucket by bucket (see _same_element).  On genus 2, L2 = 14: growing
     the ball to radius 6 never scans, and at the default budget neither
     does a lookup of a word whose Dehn reduction is at most 9 letters long.
-    A Dehn-reduced u with 2 |u| <= L2 is a geodesic (see _member): length,
-    dist and state_dist read |u| off such a u without growing the ball.
+    A Dehn-reduced u with 2 |u| <= L2 is a geodesic (see _member):
+    state_dist, and so length and dist, read |u| off such a u without
+    growing the ball.
 
     A path state is the stack of the real-time reduction (see _push):
     parse_state pushes a word onto an empty stack and append_letter pushes
@@ -726,13 +739,14 @@ class DehnBackend(_Backend):
             self._layer_start.append(len(self._canon))
 
     def ball(self, radius: int) -> dict[str, int]:
+        if radius < 0:
+            raise BackendError("radius must be >= 0")
         if radius > self.max_radius:
-            raise BudgetExceeded(
-                f"ball radius {radius} exceeds budget; largest completed radius is {self.max_radius}"
-            )
+            raise BudgetExceeded(f"ball radius {radius} exceeds budget; largest completed "
+                                 f"radius is {self.max_radius}", None)
         self._grow(radius)
         # canonical words are geodesics: a word's length is its distance
-        return {w: len(w) for w in self._canon[:self._layer_start[max(radius + 1, 0)]]}
+        return {w: len(w) for w in self._canon[:self._layer_start[radius + 1]]}
 
     def _find(self, red: str) -> int | None:
         """Index of the ball element equal to the Dehn-reduced word red, or
@@ -742,19 +756,12 @@ class DehnBackend(_Backend):
         self._grow(radius)
         return self._member(red, radius)
 
-    def _lookup(self, w: str) -> tuple[int | None, str]:
-        """(index of the ball element equal to w or None, Dehn-reduced w)."""
-        red = self.dehn_reduce(w)
-        return self._find(red), red
-
     def normal_form(self, w: str) -> str:
         """ShortLex geodesic canonical form when w lies in the budget ball,
-        otherwise a Dehn-reduced form (check nf_exact)."""
-        idx, red = self._lookup(w)
+        otherwise a Dehn-reduced form (length(w) then is not exact)."""
+        red = self.dehn_reduce(w)
+        idx = self._find(red)
         return red if idx is None else self._canon[idx]
-
-    def nf_exact(self, w: str) -> bool:
-        return self._lookup(w)[0] is not None
 
     def _ball_length(self, red: str) -> int | None:
         """Length of the element of the Dehn-reduced word red if it lies in
@@ -768,24 +775,10 @@ class DehnBackend(_Backend):
         idx = self._find(red)
         return None if idx is None else len(self._canon[idx])
 
-    def length(self, g: str) -> tuple[int, str]:
-        n = self._ball_length(self.dehn_reduce(g))
-        if n is not None:
-            return n, "exact"
-        return self.max_radius, f"lower_bound({self.max_radius})"
-
-    def _certified_length(self, n: int | None) -> int:
-        if n is None:
-            raise BudgetExceeded(f"distance not certified within radius {self.max_radius}")
-        return n
-
-    def dist(self, u: str, v: str) -> int:
-        return self._certified_length(self._ball_length(self.dehn_reduce(inverse_word(u) + v)))
-
     def geodesic_word(self, g: str) -> str:
-        idx, _ = self._lookup(g)
+        idx = self._find(self.dehn_reduce(g))
         if idx is None:
-            raise BudgetExceeded("geodesic unavailable at budget")
+            raise BudgetExceeded("geodesic unavailable at budget", self.max_radius + 1)
         return self._canon[idx]
 
     def parse_state(self, w: str) -> list[str]:
@@ -799,8 +792,13 @@ class DehnBackend(_Backend):
 
     def state_dist(self, state: list[str]) -> int:
         # a Dehn-reduced stack can be longer than a geodesic: look it up as
-        # it stands, since reducing it again would not change it
-        return self._certified_length(self._ball_length(self.render(state)))
+        # it stands, since reducing it again would not change it.  Outside
+        # the ball the element is longer than max_radius.
+        n = self._ball_length(self.render(state))
+        if n is None:
+            raise BudgetExceeded(f"distance not certified within radius {self.max_radius}",
+                                 self.max_radius + 1)
+        return n
 
     def conjugacy_core(self, g: str) -> None:
         # no cyclic Dehn reduction yet: callers fall back to bounded searches

@@ -92,7 +92,7 @@ def run_record(args, result: dict, certificate=None, profile=None) -> dict:
     record = {
         "subcommand": args.command,
         "inputs": {k: v for k, v in vars(args).items()
-                   if k not in ("command", "func", "json", "out", "start_time")
+                   if k not in ("command", "func", "parser", "json", "out", "start_time")
                    and v is not None},
         "result": result,
     }
@@ -251,6 +251,8 @@ def _theorem_one(backend, args, profile, a, b, x, y, r):
 
 
 def cmd_theorem(args):
+    if not args.batch and (args.a is None or args.b is None):
+        args.parser.error("the following arguments are required: --a, --b (or --batch)")
     backend = make_backend(args.backend)
     profile = load_profile(args.profile) if args.profile else None
     if args.batch:
@@ -258,8 +260,12 @@ def cmd_theorem(args):
             instances = json.load(fh)
         records = []
         worst = 0
-        for item in instances:
-            res = _theorem_one(backend, args, profile, item["a"], item["b"],
+        for i, item in enumerate(instances):
+            try:
+                a, b = item["a"], item["b"]
+            except KeyError as exc:
+                raise ValueError(f"batch instance {i} is missing the key {exc.args[0]!r}") from None
+            res = _theorem_one(backend, args, profile, a, b,
                                item.get("x", ""), item.get("y", ""), item.get("r", 0))
             records.append({"instance": item, "hypothesis_status": res.status,
                             "witness": res.witness, "certificate": res.details})
@@ -356,7 +362,7 @@ def build_parser(names=COMMANDS) -> _Parser:
     for name in names:
         func, help_text, options = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         p.add_argument("--json", action="store_true", help="emit a JSON record")
         p.add_argument("--out", help="write the JSON record to a file")
         for option, keywords in options.items():

@@ -92,20 +92,15 @@ def periodic_line(backend, x: str, a: str, n_min: int, n_max: int) -> PathInGrap
     return path
 
 
-def _length_bound(backend, w: str) -> int:
-    """A lower bound on |w| where the backend cannot certify it: a length n
-    that is not exact certifies |w| > n."""
-    return backend.length(w)[0] + 1
-
-
 def _dist_or_bound(backend, u: str, v: str) -> tuple[int, BudgetExceeded | None]:
-    """(d(u, v), None), or (_length_bound of u^-1 v, exc) where the backend
-    cannot certify d(u, v).  exc is the backend's BudgetExceeded, which a
-    caller raises where the lower bound does not decide its answer."""
+    """(d(u, v), None), or (exc.bound, exc) where the backend cannot certify
+    d(u, v).  exc is the backend's BudgetExceeded, whose bound is a certified
+    lower bound on d(u, v), and a caller raises it where that bound does not
+    decide its answer."""
     try:
         return backend.dist(u, v), None
     except BudgetExceeded as exc:
-        return _length_bound(backend, inverse_word(u) + v), exc
+        return exc.bound, exc
 
 
 def quasi_geodesic_check(path: PathInGraph, params: QuasiParams, backend) -> list[tuple[int, int, int]]:
@@ -129,9 +124,8 @@ def quasi_geodesic_check(path: PathInGraph, params: QuasiParams, backend) -> lis
             backend.append_letter(state, label[j - 1])
             try:
                 d = backend.state_dist(state)
-            except BudgetExceeded:
-                bound = _length_bound(backend, backend.render(state))
-                if kn * (bound * ed + en) < (j - i) * kd * ed:
+            except BudgetExceeded as exc:
+                if kn * (exc.bound * ed + en) < (j - i) * kd * ed:
                     raise
                 continue
             if kn * (d * ed + en) < (j - i) * kd * ed:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .geometry import (
+    GeometryError,
     classify_element,
     neighborhood_contains,
     neighborhood_profile,
@@ -263,26 +264,20 @@ def commensurability_search(backend, a: str, b: str, max_exponent: int = 8,
 def empirical_period_threshold(backend, a: str, b: str, x: str, y: str, r: int,
                                max_periods: int = 8, max_exponent: int = 8):
     """Smallest period count m such that some m-period subpath of L(x, a)
-    lies in the r-neighborhood of the L(y, b) window AND the witness search
-    succeeds; None when nothing fires up to max_periods."""
+    starting at a phase in [-max_periods, max_periods] lies in the
+    r-neighborhood of the L(y, b) window AND the witness search succeeds;
+    None when nothing fires.  The first period of a contained subpath is
+    contained too, so m is 1 iff one of those one-period pieces is."""
     _require_loxodromic_shortest(backend, a, "a")
     _require_loxodromic_shortest(backend, b, "b")
-    # An m-period window is contained iff each of its m one-period pieces is,
-    # so one profile of the widest window determines every (m, offset) case.
     q = _b_window(backend, a, b, y, r, -max_periods, 2 * max_periods)
-    p = periodic_line(backend, x, a, -max_periods, 2 * max_periods)
+    if max_periods < 1:
+        raise GeometryError("need max_periods >= 1")
+    p = periodic_line(backend, x, a, -max_periods, max_periods + 1)
     vertex_ok = neighborhood_profile(p, q, r, backend)
     la = backend.length(a)[0]
-    flags = [all(vertex_ok[k * la:(k + 1) * la + 1])
-             for k in range(3 * max_periods)]
-    if not any(flags):
+    if not any(all(vertex_ok[k * la:(k + 1) * la + 1]) for k in range(2 * max_periods + 1)):
         return None
-    witness = _witness_search(backend, a, b, x, y, max_exponent)
-    if witness is None:
+    if _witness_search(backend, a, b, x, y, max_exponent) is None:
         return None
-    for m in range(1, max_periods + 1):
-        for n0 in range(-max_periods, max_periods + 1):
-            i = n0 + max_periods
-            if all(flags[i:i + m]):
-                return m
-    return None
+    return 1

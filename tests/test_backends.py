@@ -239,7 +239,7 @@ class TestDehn:
 
     def test_normal_form_canonical_in_ball(self):
         assert self.d.normal_form("aA") == ""
-        assert self.d.nf_exact("ab")
+        assert self.d.length("ab")[1] == "exact"
         w = self.d.normal_form("abAB")
         assert self.d.equal(w, "dcDC")
 
@@ -333,7 +333,7 @@ def test_dehn_matches_reference(w, v):
     for d in (DehnBackend(SURFACE_GENUS2), TestDehn.d):
         canon = REF.normal_form(w)
         assert d.length(w) == ((len(canon), "exact") if canon is not None else (4, "lower_bound(4)"))
-        assert d.nf_exact(w) == (canon is not None)
+        assert (d.length(w)[1] == "exact") == (canon is not None)
         red = d.normal_form(w)
         if canon is not None:
             assert red == canon
@@ -467,7 +467,7 @@ def test_dehn_scan_path_matches_reference(presentation, functionals):
         canon = ref.normal_form(w)
         for d in (fresh, warm):
             assert d.length(w) == ((len(canon), "exact") if canon is not None else (4, "lower_bound(4)")), w
-            assert d.nf_exact(w) == (canon is not None), w
+            assert (d.length(w)[1] == "exact") == (canon is not None), w
             red = d.normal_form(w)
             assert red == canon if canon is not None else ref.equal(red, w), w
 
@@ -520,7 +520,7 @@ def test_genus2_two_cell_lookup_at_the_bound(genus2_r6):
         # a Dehn-reduced word of L2 / 2 + 1 letters that is no geodesic: the
         # lemma that 2 |u| <= L2 makes u a geodesic is sharp
         assert len(u) == 14 // 2 + 1
-        assert d.length(u) == (6, "exact") and d.nf_exact(v)
+        assert d.length(u) == (6, "exact") and d.length(v)[1] == "exact"
         assert d.normal_form(u) == d.normal_form(v)
         cases += 1
     assert cases == 16
@@ -661,3 +661,74 @@ def test_dehn_short_reduced_lengths_match_scan(presentation, budget, ref, data):
     assert len(d._layer_start) == 2, u
     expected = (ref.length(u), _outcome(ref.dist, "", u), _outcome(ref.state_dist, list(u)))
     assert got == expected, u
+
+
+# Budgets at which BudgetExceeded.bound is checked, each with a backend of a
+# larger budget that checks the bound is sound, where one is cheap to build.
+# The scan presentations stop at budget 5: their ball(6) takes 8 s and 76 s.
+BOUND_CASES = {
+    "genus2-r4": (SURFACE_GENUS2, 4, 6),
+    "genus2-r6": (SURFACE_GENUS2, 6, None),
+    "one-relator-r4": (SCAN_PATH_CASES[0][0], 4, 5),
+    "one-relator-r5": (SCAN_PATH_CASES[0][0], 5, None),
+    "two-relator-r4": (SCAN_PATH_CASES[1][0], 4, 5),
+    "two-relator-r5": (SCAN_PATH_CASES[1][0], 5, None),
+}
+
+
+@pytest.mark.parametrize("presentation, budget, wider", BOUND_CASES.values(), ids=BOUND_CASES.keys())
+def test_budget_exceeded_carries_the_certified_bound(presentation, budget, wider):
+    """dist and state_dist raise the same BudgetExceeded for g = u^-1 v, and
+    its bound is length(g)[0] + 1: the certificate lower_bound(n) of length
+    and the exception's bound n + 1 say the same.  The bound is sound: a
+    backend with a larger budget never finds g shorter."""
+    d = DehnBackend(presentation, max_radius=budget)
+    check = DehnBackend(presentation, max_radius=wider) if wider else None
+    letters = "".join(d.letters)
+    sym = presentation.symmetrized()
+    rng = random.Random(budget)
+    raised = 0
+    for i in range(300):
+        if i % 2:
+            w = "".join(rng.choice(letters) for _ in range(rng.randint(0, 14)))
+        else:
+            rho = rng.choice(sym)
+            w = (inverse_word(rho[rng.randint(1, len(rho) // 2):])
+                 + "".join(rng.choice(letters) for _ in range(rng.randint(0, 8))))
+        k = rng.randint(0, len(w))
+        state = d.parse_state(w[:k])
+        for c in w[k:]:
+            d.append_letter(state, c)
+        n, cert = d.length(w)
+        try:
+            assert d.dist(inverse_word(w[:k]), w[k:]) == n and cert == "exact", w
+        except BudgetExceeded as exc:
+            assert cert == f"lower_bound({n})" and exc.bound == n + 1 == budget + 1, w
+            with pytest.raises(BudgetExceeded) as by_state:
+                d.state_dist(state)
+            assert (str(by_state.value), by_state.value.bound) == (str(exc), exc.bound), w
+            if check is not None:
+                assert check.length(w)[0] >= exc.bound, w
+            raised += 1
+        else:
+            assert d.state_dist(state) == n, w
+    assert 20 < raised < 280
+
+
+def test_budget_exceeded_bound_and_message():
+    # the message is the first argument alone, as before the bound was added
+    exc = BudgetExceeded("distance not certified within radius 4", 5)
+    assert (str(exc), exc.bound) == ("distance not certified within radius 4", 5)
+    d = DehnBackend(SURFACE_GENUS2)
+    with pytest.raises(BudgetExceeded, match="^geodesic unavailable at budget$") as info:
+        d.geodesic_word("aaaaa")
+    assert info.value.bound == 5
+    with pytest.raises(BudgetExceeded, match="^ball radius 5 exceeds budget") as info:
+        d.ball(5)
+    assert info.value.bound is None
+
+
+@pytest.mark.parametrize("backend", CONFORMANCE, ids=["free", "zmzn", "dehn"])
+def test_negative_ball_radius_is_refused(backend):
+    with pytest.raises(BackendError, match="radius must be >= 0"):
+        backend.ball(-1)

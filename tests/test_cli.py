@@ -271,6 +271,13 @@ ERROR_CASES = {
                      "missing the key 'mu'"),
     "BudgetExceeded": (["delta", "--backend", "dehn:{dir}/genus2.txt", "--radius", "2",
                         "--seed", "0"], 1, "distance not certified within radius 4"),
+    "negative-radius-dehn": (["delta", "--backend", "dehn:{dir}/genus2.txt", "--radius", "-1"],
+                             1, "radius must be >= 0"),
+    "theorem-usage": (["theorem", "--backend", "free:2", "--sharp-free"], 64,
+                      "the following arguments are required: --a, --b (or --batch)"),
+    "theorem-batch-key": (["theorem", "--backend", "free:2", "--sharp-free",
+                           "--batch", "{dir}/batch.json"], 1,
+                          "batch instance 1 is missing the key 'b'"),
 }
 
 
@@ -278,6 +285,7 @@ ERROR_CASES = {
 def test_error_exit_code(capsys, tmp_path, argv, code, message):
     (tmp_path / "genus2.txt").write_text("gens: a,b,c,d\nrel: abABcdCD\n")
     (tmp_path / "profile.json").write_text(json.dumps({"delta": "0", "tau": "2"}))
+    (tmp_path / "batch.json").write_text(json.dumps([{"a": "ab", "b": "ab"}, {"a": "ab"}]))
     try:
         got = main([arg.format(dir=tmp_path) for arg in argv])
     except SystemExit as exc:

@@ -641,17 +641,17 @@ def test_hausdorff_distance_dehn_beyond_budget():
 
 class _BudgetedTree(FreeBackend):
     """free:2 whose distances above 2 are only certified > 1, so a lower
-    bound can tie an exact distance."""
+    bound can tie an exact distance.  Its path states keep the same budget
+    as dist."""
 
     def dist(self, u, v):
         d = super().dist(u, v)
         if d > 2:
-            raise BudgetExceeded("beyond the test budget")
+            raise BudgetExceeded("beyond the test budget", 2)
         return d
 
-    def length(self, g):
-        n, cert = super().length(g)
-        return (n, cert) if n <= 2 else (1, "lower_bound(1)")
+    def state_dist(self, state):
+        return self.dist("", self.render(state))
 
 
 def test_hausdorff_distance_exact_candidate_wins_tie():
@@ -663,13 +663,6 @@ def test_hausdorff_distance_exact_candidate_wins_tie():
     assert hausdorff_distance(p, q, tree) == hausdorff_distance(p, q, FREE) == 2
 
 
-class _BudgetedTreeStates(_BudgetedTree):
-    """_BudgetedTree whose path states keep the same budget as dist."""
-
-    def state_dist(self, state):
-        return self.dist("", self.render(state))
-
-
 def _value_or_budget(f, *args):
     try:
         return f(*args)
@@ -677,7 +670,7 @@ def _value_or_budget(f, *args):
         return "BudgetExceeded", str(exc)
 
 
-@pytest.mark.parametrize("backend", [FREE, FP, FP33, FP22, DEHN, _BudgetedTreeStates(2)],
+@pytest.mark.parametrize("backend", [FREE, FP, FP33, FP22, DEHN, _BudgetedTree(2)],
                          ids=["free", "zmzn23", "zmzn33", "zmzn22", "genus2", "budgeted-tree"])
 def test_path_metrics_match_reference(backend):
     # random path pairs, a third of them sharing a start and part of a label;
@@ -730,6 +723,51 @@ def test_path_metrics_dist_calls():
     assert len(calls) == 2
     assert quasi_geodesic_check(line, QuasiParams(Fraction(3), Fraction(20)), fp) == []
     assert len(calls) == 2
+
+
+def test_genus2_path_metrics_beyond_the_budget_ask_once():
+    """Beyond the budget a path metric takes its bound from the backend's
+    BudgetExceeded: quasi_geodesic_check and hausdorff_distance make no
+    length call and reduce no word a second time (dehn_reduce), though
+    many of their distances raise.  Vertex distances here stay below 10
+    letters, so no lookup reaches the bucket scan, which reduces words."""
+    d = DehnBackend(SURFACE_GENUS2)
+    rng = random.Random(14)
+    starts = sorted(d.ball(1))
+    walks = [path_from_word(d, rng.choice(starts), "".join(rng.choice(d.letters) for _ in range(3)))
+             for _ in range(40)]
+    line = path_from_word(d, "", "ab" * 20)
+    counts = {"length": 0, "dehn_reduce": 0, "raised": 0}
+
+    def counting(name):
+        method = getattr(d, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return method(*args)
+
+        setattr(d, name, wrapped)
+
+    counting("length")
+    counting("dehn_reduce")
+    state_dist = d.state_dist
+
+    def raising_state_dist(state):  # dist reads its distance off a state too
+        try:
+            return state_dist(state)
+        except BudgetExceeded:
+            counts["raised"] += 1
+            raise
+
+    d.state_dist = raising_state_dist
+    assert quasi_geodesic_check(line, QuasiParams(Fraction(1), Fraction(1000)), d) == []
+    outcomes = set()
+    for p, q in zip(walks, walks[1:]):
+        got = _value_or_budget(hausdorff_distance, p, q, d)
+        assert got == _value_or_budget(hausdorff_reference, p, q, DEHN), (p, q)
+        outcomes.add(type(got))
+    assert outcomes == {int, tuple}
+    assert counts["length"] == counts["dehn_reduce"] == 0 and counts["raised"] > 500, counts
 
 
 def test_neighborhood_sweep_dehn_exact_hit_after_bound():

@@ -6,7 +6,7 @@ import pytest
 
 from periodlines.backends import SURFACE_GENUS2, DehnBackend, FreeBackend, FreeProductBackend
 from periodlines.constants import ConstantsProfile
-from periodlines.geometry import shortest_conjugate
+from periodlines.geometry import GeometryError, shortest_conjugate
 from periodlines.harness import (
     HypothesisError,
     TheoremInstance,
@@ -18,6 +18,7 @@ from periodlines.harness import (
     weak_theorem_check,
 )
 from periodlines.freewords import is_cyclically_reduced, overlap_root, rotate
+from period_threshold_reference import period_threshold_reference
 from witness_search_reference import witness_search_reference
 from zmzn_reference import zmzn_normal_form
 
@@ -170,6 +171,45 @@ def test_empirical_threshold_same_line():
 def test_empirical_threshold_non_commensurable():
     assert empirical_period_threshold(FREE, "ab", "ba", "", "bb", 0,
                                       max_periods=4) is None
+
+
+def _threshold_outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except (HypothesisError, GeometryError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_empirical_threshold_matches_loop_reference():
+    """The closed form answers as the m x offset loop over a 24-period
+    window did, with a 17-period one: on every commensurable acceptance-4
+    pair and every 16th other one at r = 0, 1, 2, and on Z/2*Z/3
+    instances, elliptic ones too.  The answer is only ever 1 or None."""
+    answers = []
+    for i, (a, b, commensurable) in enumerate(_acceptance4_pairs()):
+        if not commensurable and i % 16:
+            continue
+        for r in (0, 1, 2):
+            got = empirical_period_threshold(FREE, a, b, "", "", r)
+            assert got == period_threshold_reference(FREE, a, b, "", "", r), (a, b, r)
+            answers.append(got)
+    assert set(answers) == {1, None}
+    rng = random.Random(41)
+    answers = []
+    for _ in range(300):
+        a, b, x, y = ("".join(rng.choice("xyY") for _ in range(rng.randint(lo, 4)))
+                      for lo in (1, 1, 0, 0))
+        r, n = rng.randint(0, 2), rng.randint(1, 4)
+        got = _threshold_outcome(empirical_period_threshold, FP, a, b, x, y, r, n)
+        assert got == _threshold_outcome(period_threshold_reference, FP, a, b, x, y, r, n), \
+            (a, b, x, y, r, n)
+        answers.append(got if got in (1, None) else got[0])
+    assert {1, None, "HypothesisError"} <= set(answers)
+
+
+def test_empirical_threshold_needs_a_period():
+    with pytest.raises(GeometryError, match="max_periods >= 1"):
+        empirical_period_threshold(FREE, "ab", "ab", "", "", 0, max_periods=0)
 
 
 def _acceptance4_pairs():
