@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .freewords import free_commensurate, free_reduce, inverse_word, is_cyclically_reduced
+from .freewords import _reduce, free_commensurate, inverse_word, is_cyclically_reduced
 from .words import primitive_root
 
 
@@ -138,7 +138,7 @@ class _Backend:
         self.check_word(w)
         if not any(pair in w for pair in self._cancelling):
             return w
-        return free_reduce(w)
+        return _reduce(w)
 
     def equal(self, u: str, v: str) -> bool:
         return self.normal_form(u) == self.normal_form(v)

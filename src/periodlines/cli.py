@@ -16,8 +16,8 @@ from fractions import Fraction
 from . import constants, freewords, geometry, harness, words
 from .backends import BackendError, BudgetExceeded, make_backend
 from .constants import ConstantsProfile, ProfileError
-from .fourgon import FourGon, compose, side_elements
-from .geometry import PathInGraph, path_from_word, periodic_line
+from .fourgon import compose, side_elements
+from .geometry import periodic_line
 from .harness import TheoremInstance
 
 USAGE_EXIT = 64
@@ -258,9 +258,13 @@ def cmd_theorem(args):
     if args.batch:
         with open(args.batch, encoding="utf-8") as fh:
             instances = json.load(fh)
+        if not isinstance(instances, list):
+            raise ValueError("batch must be a JSON array of instances")
         records = []
         worst = 0
         for i, item in enumerate(instances):
+            if not isinstance(item, dict):
+                raise ValueError(f"batch instance {i} is not a JSON object")
             try:
                 a, b = item["a"], item["b"]
             except KeyError as exc:

@@ -17,23 +17,19 @@ class FreeWordError(ValueError):
     pass
 
 
-def check_letters(w: str, rank: int | None = None) -> None:
-    if rank is not None and not 1 <= rank <= 26:
-        raise FreeWordError(f"rank must be between 1 and 26, got {rank}")
+def check_letters(w: str) -> None:
     for c in w:
         if not c.isascii() or not c.isalpha():
             raise FreeWordError(f"bad letter {c!r}")
-        if rank is not None and ord(c.lower()) - ord("a") >= rank:
-            raise FreeWordError(f"letter {c!r} outside rank {rank}")
 
 
 def inverse_word(w: str) -> str:
     return w[::-1].swapcase()
 
 
-def free_reduce(w: str, rank: int | None = None) -> str:
+def free_reduce(w: str) -> str:
     """Unique reduced word equal to w in the free group."""
-    check_letters(w, rank)
+    check_letters(w)
     return _reduce(w)
 
 

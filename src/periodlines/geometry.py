@@ -109,7 +109,8 @@ def quasi_geodesic_check(path: PathInGraph, params: QuasiParams, backend) -> lis
     beyond the backend's budget passes when its certified lower bound meets
     the threshold, and raises BudgetExceeded otherwise.
 
-    For each i one state, anchored at v_i, follows the label, and
+    For each i one state, anchored at v_i, follows the label from v_i + K,
+    K = floor(kappa eps), as a pair with j - i <= K has threshold <= 0;
     backend.state_dist reads d(v_i, v_j) off it: the stack's length on the
     free and free product backends, and one ball lookup of the Dehn-reduced
     stack on Dehn.  With kappa = kn/kd and eps = en/ed, d < (j - i)/kappa -
@@ -118,9 +119,10 @@ def quasi_geodesic_check(path: PathInGraph, params: QuasiParams, backend) -> lis
     label = path.label
     kn, kd = params.kappa.numerator, params.kappa.denominator
     en, ed = params.eps.numerator, params.eps.denominator
-    for i in range(len(label) + 1):
-        state = backend.parse_state("")
-        for j in range(i + 1, len(label) + 1):
+    K = kn * en // (kd * ed)
+    for i in range(len(label) - K):
+        state = backend.parse_state(label[i:i + K])
+        for j in range(i + K + 1, len(label) + 1):
             backend.append_letter(state, label[j - 1])
             try:
                 d = backend.state_dist(state)

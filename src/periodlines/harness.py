@@ -120,23 +120,27 @@ def _powers(backend, g: str, n: int) -> dict[int, str]:
 
 
 def _witness_search(backend, a: str, b: str, x: str, y: str, max_exponent: int):
-    """Search s, t != 0 with (x^-1 y) b^s (y^-1 x) = a^t, smallest |s|+|t|
-    first; every hit is re-verified in the conjugation form
-    (y^-1 x) a^t (x^-1 y) = b^s before emission."""
+    """{s, t} with (x^-1 y) b^s (y^-1 x) = a^t by _conjugate_powers, or None."""
     u = backend.mul(backend.inv(backend.normal_form(x)), backend.normal_form(y))
+    return _conjugate_powers(backend, _powers(backend, a, max_exponent),
+                             _powers(backend, b, max_exponent), u)
+
+
+def _conjugate_powers(backend, powers_a: dict, powers_b: dict, u: str):
+    """{s, t} with u b^s u^-1 = a^t over the power tables of a and b, by
+    |s| + |t|, then s ascending, then t positive first, or None.  The hit is
+    re-verified in the conjugation form u^-1 a^t u = b^s before emission."""
     u_inv = backend.inv(u)
-    powers_a = _powers(backend, a, max_exponent)
-    powers_b = _powers(backend, b, max_exponent)
     conj_b = {s: backend.mul(backend.mul(u, bs), u_inv) for s, bs in powers_b.items()}
 
     def order(st):
-        return abs(st[0]) + abs(st[1]), st
+        return abs(st[0]) + abs(st[1]), st[0], -st[1]
 
     if backend.canonical_forms:
         # equal elements have equal normal forms, and powers and products
         # are normal forms: one lookup per s finds its first t in the order
         first_t = {}
-        for t in sorted(powers_a, key=lambda t: (abs(t), t)):
+        for t in sorted(powers_a, key=lambda t: (abs(t), -t)):
             first_t.setdefault(powers_a[t], t)
         hits = sorted(((s, first_t[w]) for s, w in conj_b.items() if w in first_t), key=order)
     else:
@@ -244,20 +248,13 @@ def commensurability_search(backend, a: str, b: str, max_exponent: int = 8,
     exact = backend.commensurate(a, b)
     if exact is not None:
         return exact
-    # candidates by |s| + |t|, then s ascending, then t positive first
-    candidates = [(s, t)
-                  for total in range(2, 2 * max_exponent + 1)
-                  for s in range(-max_exponent, max_exponent + 1)
-                  if s and 1 <= total - abs(s) <= max_exponent
-                  for t in (total - abs(s), abs(s) - total)]
     powers_a = _powers(backend, a, max_exponent)
     powers_b = _powers(backend, b, max_exponent)
     for g in backend.ball(conjugator_bound):
-        g_inv = backend.inv(g)
-        conj_b = {t: backend.mul(backend.mul(g_inv, bt), g) for t, bt in powers_b.items()}
-        for s, t in candidates:
-            if backend.equal(powers_a[s], conj_b[t]):
-                return {"g": g, "s": s, "t": t}, f"bounded({max_exponent},{conjugator_bound})"
+        # g a^s g^-1 = b^t, re-verified as a^s = g^-1 b^t g
+        hit = _conjugate_powers(backend, powers_b, powers_a, g)
+        if hit is not None:
+            return {"g": g, **hit}, f"bounded({max_exponent},{conjugator_bound})"
     return None, f"not found within bounds ({max_exponent},{conjugator_bound})"
 
 

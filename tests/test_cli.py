@@ -278,6 +278,12 @@ ERROR_CASES = {
     "theorem-batch-key": (["theorem", "--backend", "free:2", "--sharp-free",
                            "--batch", "{dir}/batch.json"], 1,
                           "batch instance 1 is missing the key 'b'"),
+    "theorem-batch-item": (["theorem", "--backend", "free:2", "--sharp-free",
+                            "--batch", "{dir}/batch-item.json"], 1,
+                           "batch instance 0 is not a JSON object"),
+    "theorem-batch-array": (["theorem", "--backend", "free:2", "--sharp-free",
+                             "--batch", "{dir}/batch-array.json"], 1,
+                            "batch must be a JSON array of instances"),
 }
 
 
@@ -286,6 +292,8 @@ def test_error_exit_code(capsys, tmp_path, argv, code, message):
     (tmp_path / "genus2.txt").write_text("gens: a,b,c,d\nrel: abABcdCD\n")
     (tmp_path / "profile.json").write_text(json.dumps({"delta": "0", "tau": "2"}))
     (tmp_path / "batch.json").write_text(json.dumps([{"a": "ab", "b": "ab"}, {"a": "ab"}]))
+    (tmp_path / "batch-item.json").write_text("[1]")
+    (tmp_path / "batch-array.json").write_text(json.dumps({"a": "ab"}))
     try:
         got = main([arg.format(dir=tmp_path) for arg in argv])
     except SystemExit as exc:

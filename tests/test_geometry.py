@@ -730,14 +730,19 @@ def test_genus2_path_metrics_beyond_the_budget_ask_once():
     BudgetExceeded: quasi_geodesic_check and hausdorff_distance make no
     length call and reduce no word a second time (dehn_reduce), though
     many of their distances raise.  Vertex distances here stay below 10
-    letters, so no lookup reaches the bucket scan, which reduces words."""
+    letters, so no lookup reaches the bucket scan, which reduces words.
+    quasi_geodesic_check asks no pair with j - i <= kappa eps: none at
+    eps = 1000 on a 40-edge line, and on (ab)^17 a at eps = 30 only the 15
+    pairs with j - i > 30, each raising with a bound that meets its
+    threshold."""
     d = DehnBackend(SURFACE_GENUS2)
     rng = random.Random(14)
     starts = sorted(d.ball(1))
     walks = [path_from_word(d, rng.choice(starts), "".join(rng.choice(d.letters) for _ in range(3)))
              for _ in range(40)]
-    line = path_from_word(d, "", "ab" * 20)
-    counts = {"length": 0, "dehn_reduce": 0, "raised": 0}
+    long_line = path_from_word(d, "", "ab" * 20)
+    line = path_from_word(d, "", "ab" * 17 + "a")
+    counts = {"length": 0, "dehn_reduce": 0, "state_dist": 0, "raised": 0}
 
     def counting(name):
         method = getattr(d, name)
@@ -753,6 +758,7 @@ def test_genus2_path_metrics_beyond_the_budget_ask_once():
     state_dist = d.state_dist
 
     def raising_state_dist(state):  # dist reads its distance off a state too
+        counts["state_dist"] += 1
         try:
             return state_dist(state)
         except BudgetExceeded:
@@ -760,14 +766,17 @@ def test_genus2_path_metrics_beyond_the_budget_ask_once():
             raise
 
     d.state_dist = raising_state_dist
-    assert quasi_geodesic_check(line, QuasiParams(Fraction(1), Fraction(1000)), d) == []
+    assert quasi_geodesic_check(long_line, QuasiParams(Fraction(1), Fraction(1000)), d) == []
+    assert counts["state_dist"] == 0, counts
+    assert quasi_geodesic_check(line, QuasiParams(Fraction(1), Fraction(30)), d) == []
+    assert counts["state_dist"] == counts["raised"] == 15, counts
     outcomes = set()
     for p, q in zip(walks, walks[1:]):
         got = _value_or_budget(hausdorff_distance, p, q, d)
         assert got == _value_or_budget(hausdorff_reference, p, q, DEHN), (p, q)
         outcomes.add(type(got))
     assert outcomes == {int, tuple}
-    assert counts["length"] == counts["dehn_reduce"] == 0 and counts["raised"] > 500, counts
+    assert counts["length"] == counts["dehn_reduce"] == 0 and counts["raised"] > 300, counts
 
 
 def test_neighborhood_sweep_dehn_exact_hit_after_bound():

@@ -18,6 +18,7 @@ from periodlines.harness import (
     weak_theorem_check,
 )
 from periodlines.freewords import is_cyclically_reduced, overlap_root, rotate
+from commensurability_reference import commensurability_reference
 from period_threshold_reference import period_threshold_reference
 from witness_search_reference import witness_search_reference
 from zmzn_reference import zmzn_normal_form
@@ -162,6 +163,54 @@ def test_commensurability_search_bounded():
     bt = FP.normal_form("yx" * t if t > 0 else "xY" * -t)
     rhs = FP.mul(FP.mul(FP.inv(g), bt), g)
     assert FP.equal(lhs, rhs)
+
+
+def test_commensurability_search_matches_candidate_loop():
+    """The bounded search, run through the theorems' witness search over
+    the conjugator ball, returns the candidate loop's witness and
+    certificate: on every ordered pair of Z/2*Z/3 words of length 1 to 3
+    (finite-order ones too, whose powers repeat) at bounds (3, 2), where
+    the lookup by normal form answers, and on genus-2 pairs (w^2, w),
+    |w| <= 2, at (3, 1), where the pairwise loop does."""
+    dehn = DehnBackend(SURFACE_GENUS2)
+    fp_words = ["".join(w) for n in (1, 2, 3) for w in itertools.product("xyY", repeat=n)]
+    dehn_words = ["".join(w) for n in (1, 2) for w in itertools.product(dehn.letters, repeat=n)]
+    cases = [(FP, a, b, 3, 2) for a in fp_words for b in fp_words]
+    cases += [(dehn, w * 2, w, 3, 1) for w in dehn_words]
+    found = {FP: 0, dehn: 0}
+    for backend, a, b, n, bound in cases:
+        if backend.is_identity(a) or backend.is_identity(b):
+            continue
+        got = commensurability_search(backend, a, b, n, bound)
+        assert got == commensurability_reference(backend, a, b, n, bound), (a, b)
+        found[backend] += got[0] is not None
+    assert found[FP] > 600 and found[dehn] == 64, found
+
+
+def test_commensurability_search_reverifies_bounded_witness():
+    class Disagreeing(FreeProductBackend):
+        def equal(self, u, v):  # the conjugation-form check refuses every hit
+            return False
+
+    with pytest.raises(RuntimeError, match="witness failed re-verification"):
+        commensurability_search(Disagreeing((2, 3)), "xy", "yx", max_exponent=3,
+                                conjugator_bound=2)
+
+
+def test_commensurability_search_bounded_hit_makes_one_equal_call():
+    """On Z/2*Z/3 the lookup by normal form finds the hit; the one equal
+    call is its re-verification."""
+    class Counting(FreeProductBackend):
+        calls = 0
+
+        def equal(self, u, v):
+            self.calls += 1
+            return super().equal(u, v)
+
+    fp = Counting((2, 3))
+    witness, cert = commensurability_search(fp, "xy", "yx")
+    assert witness == {"g": "x", "s": -1, "t": -1} and cert == "bounded(8,4)"
+    assert fp.calls == 1
 
 
 def test_empirical_threshold_same_line():

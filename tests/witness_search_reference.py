@@ -1,6 +1,7 @@
 """The witness search of harness._witness_search as a pairwise loop, one
-equal per (s, t) pair in the order of smallest |s| + |t| first: the
-reference that the lookup by normal form is tested against."""
+equal per (s, t) pair in the order |s| + |t|, then s ascending, then t
+positive first: the reference that the lookup by normal form is tested
+against."""
 
 from periodlines.harness import _powers
 
@@ -13,7 +14,7 @@ def witness_search_reference(backend, a, b, x, y, max_exponent):
     conj_b = {s: backend.mul(backend.mul(u, bs), u_inv) for s, bs in powers_b.items()}
     candidates = sorted(
         ((s, t) for s in powers_b for t in powers_a),
-        key=lambda st: (abs(st[0]) + abs(st[1]), st),
+        key=lambda st: (abs(st[0]) + abs(st[1]), st[0], -st[1]),
     )
     for s, t in candidates:
         if backend.equal(conj_b[s], powers_a[t]):
