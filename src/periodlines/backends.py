@@ -801,7 +801,7 @@ class DehnBackend(_Backend):
         return n
 
     def conjugacy_core(self, g: str) -> None:
-        # no cyclic Dehn reduction yet: callers fall back to bounded searches
+        # no certified cyclic Dehn reduction yet: every g stays undecided
         return None
 
 

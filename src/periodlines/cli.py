@@ -172,7 +172,7 @@ def cmd_stable_norm(args):
 
 def cmd_classify(args):
     backend = make_backend(args.backend)
-    emit(args, run_record(args, {"class": geometry.classify_element(backend, args.g, args.n_max)}))
+    emit(args, run_record(args, {"class": geometry.classify_element(backend, args.g)}))
     return 0
 
 
@@ -335,7 +335,7 @@ COMMANDS = {
     "stable-norm": (cmd_stable_norm, "stable norm estimate",
                     {"--backend": REQ, "--g": REQ, "--n-max": _int(8)}),
     "classify": (cmd_classify, "elliptic/loxodromic classification",
-                 {"--backend": REQ, "--g": REQ, "--n-max": _int(12)}),
+                 {"--backend": REQ, "--g": REQ}),
     "inj-radius": (cmd_inj_radius, "injectivity radius estimate",
                    {"--backend": REQ, "--length-bound": _int(3), "--n-max": _int(8)}),
     "acyl-profile": (cmd_acyl_profile, "observed acylindricity constants",

@@ -284,57 +284,43 @@ def stable_norm_estimate(backend, g: str, n_max: int):
     return best, f"upper_bound(n_max={n_max})"
 
 
-def classify_element(backend, g: str, n_max: int = 12) -> str:
-    """'elliptic', 'loxodromic', or 'undecided'.  Exact where the backend
-    gives a conjugacy core; otherwise g is elliptic if a power up to n_max
-    is trivial, and undecided if none is.  The powers are one state that
-    each step appends the letters of g to, and a state is empty iff it
-    stands for the identity (on Dehn it is Dehn-reduced, see backends)."""
-    # is_identity checks g's letters before append_letter reads them
+def classify_element(backend, g: str) -> str:
+    """'elliptic', 'loxodromic', or 'undecided'.  The identity is elliptic;
+    otherwise exact where the backend gives a conjugacy core, and undecided
+    where it does not.
+
+    A loop over the powers of g could only prove g elliptic, by finding a
+    trivial power, and Dehn, the backend without a core, has no torsion: a
+    presentation is accepted only if it is C'(1/6), which no relator that
+    is a proper power meets (verify_small_cancellation), and such a group
+    is torsion-free (Lyndon-Schupp, Ch. V)."""
     if backend.is_identity(g):
         return "elliptic"
     exact = backend.conjugacy_core(g)
-    if exact is not None:
-        return "loxodromic" if len(exact[1]) > backend.elliptic_core_len else "elliptic"
-    power = backend.parse_state("")
-    for _ in range(n_max):
-        for c in g:
-            backend.append_letter(power, c)
-        if not power:
-            return "elliptic"
-    return "undecided"
+    if exact is None:
+        return "undecided"
+    return "loxodromic" if len(exact[1]) > backend.elliptic_core_len else "elliptic"
 
 
-def shortest_conjugate(backend, g: str, conjugator_bound: int = 4):
+def shortest_conjugate(backend, g: str):
     """Shortest element of the conjugacy class, as (conjugator, core, cert)
-    with conjugator^-1 * g * conjugator = core.  Exact, with the core
-    ShortLex-least among its cyclic rotations, where the backend gives a
-    conjugacy core; otherwise the best conjugate by ball(conjugator_bound)."""
+    with conjugator^-1 * g * conjugator = core and the core ShortLex-least
+    among its cyclic rotations, from the backend's conjugacy core."""
     exact = backend.conjugacy_core(g)
-    if exact is not None:
-        return (*exact, "exact")
-    best_len, _ = backend.length(g)
-    best, best_h = backend.normal_form(g), ""
-    for h in backend.ball(conjugator_bound):
-        cand = backend.mul(backend.mul(backend.inv(h), g), h)
-        n, cert = backend.length(cand)
-        if cert == "exact" and n < best_len:
-            best_len, best, best_h = n, backend.normal_form(cand), h
-    return best_h, best, f"bounded({conjugator_bound})"
+    if exact is None:
+        raise GeometryError("the backend gives no conjugacy core")
+    return (*exact, "exact")
 
 
 def injectivity_radius_estimate(backend, length_bound: int, n_max: int = 8):
     """Upper bound on the injectivity radius: min stable-norm estimate over
-    loxodromic conjugacy-shortest elements of length <= length_bound."""
+    loxodromic elements of length <= length_bound.  The stable norm is a
+    conjugacy invariant, so conjugates that are not shortest in their class
+    bound it as well as the shortest ones do."""
     best = None
     witness = None
     for g in backend.ball(length_bound):
-        if not g:
-            continue
-        if classify_element(backend, g, n_max) != "loxodromic":
-            continue
-        _, core, _ = shortest_conjugate(backend, g)
-        if backend.length(core)[0] != backend.length(g)[0]:
+        if not g or classify_element(backend, g) != "loxodromic":
             continue
         val, _ = stable_norm_estimate(backend, g, n_max)
         if best is None or val < best:

@@ -12,14 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .geometry import (
-    GeometryError,
-    classify_element,
-    neighborhood_contains,
-    neighborhood_profile,
-    periodic_line,
-    shortest_conjugate,
-)
+from .geometry import GeometryError, neighborhood_contains, neighborhood_profile, periodic_line
 from .constants import AcylUnavailable, C_and_f, F_of_r, K_of_r, k_trim
 
 
@@ -50,22 +43,15 @@ class TheoremInstance:
 
 
 def _require_loxodromic_shortest(backend, g: str, name: str) -> None:
-    # one conjugacy core decides both hypotheses where the backend gives
-    # one; otherwise classify before the bounded conjugator search
+    # one conjugacy core decides both hypotheses; without one, g is not
+    # known to be loxodromic.  Letters are checked first, since a backend
+    # without a core does not read g.
+    backend.check_word(g)
     exact = backend.conjugacy_core(g)
-    if exact is None:
-        if classify_element(backend, g) != "loxodromic":
-            raise HypothesisError(f"{name} is not loxodromic")
-        _, core, cert = shortest_conjugate(backend, g)
-    else:
-        core, cert = exact[1], "exact"
-        if len(core) <= backend.elliptic_core_len:
-            raise HypothesisError(f"{name} is not loxodromic")
-    if backend.length(core)[0] < backend.length(g)[0]:
-        msg = f"{name} is not shortest in its conjugacy class"
-        if not cert.startswith("exact"):
-            msg += f" (certificate {cert})"
-        raise HypothesisError(msg)
+    if exact is None or len(exact[1]) <= backend.elliptic_core_len:
+        raise HypothesisError(f"{name} is not loxodromic")
+    if backend.length(exact[1])[0] < backend.length(g)[0]:
+        raise HypothesisError(f"{name} is not shortest in its conjugacy class")
 
 
 def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
@@ -267,9 +253,9 @@ def empirical_period_threshold(backend, a: str, b: str, x: str, y: str, r: int,
     contained too, so m is 1 iff one of those one-period pieces is."""
     _require_loxodromic_shortest(backend, a, "a")
     _require_loxodromic_shortest(backend, b, "b")
-    q = _b_window(backend, a, b, y, r, -max_periods, 2 * max_periods)
     if max_periods < 1:
         raise GeometryError("need max_periods >= 1")
+    q = _b_window(backend, a, b, y, r, -max_periods, 2 * max_periods)
     p = periodic_line(backend, x, a, -max_periods, max_periods + 1)
     vertex_ok = neighborhood_profile(p, q, r, backend)
     la = backend.length(a)[0]

@@ -1,8 +1,10 @@
 """The power and conjugate loops as products of whole words, one mul (or
-length) per step: the references that geometry.classify_element,
-geometry.stable_norm_estimate, geometry.acylindricity_profile and
-harness._powers, which append letters to one kept path state, are tested
-against."""
+length) per step: the references that geometry.stable_norm_estimate,
+geometry.acylindricity_profile and harness._powers, which append letters to
+one kept path state, are tested against.  classify_element_reference keeps
+the power loop that geometry.classify_element ran where a backend has no
+conjugacy core, so the tests can show that it finds no trivial power on
+the Dehn backends, where classification now says undecided."""
 
 from fractions import Fraction
 

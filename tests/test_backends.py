@@ -205,6 +205,34 @@ def test_verify_small_cancellation():
     assert not verify_small_cancellation(Presentation(("a",), ("aaaaaaa",)), 6)
 
 
+def _cyclically_reduced_word(rng, letters, max_len):
+    while True:
+        w = free_reduce("".join(rng.choice(letters) for _ in range(rng.randint(1, max_len))))
+        if w and is_cyclically_reduced(w):
+            return w
+
+
+def test_small_cancellation_refuses_every_proper_power():
+    """A relator s^k, k >= 2, equals its own rotation by |s|, so it is a
+    piece of full length, with or without a second relator beside it.  No
+    C'(1/6) presentation has one, and every accepted Dehn group is
+    torsion-free (Lyndon-Schupp, Ch. V)."""
+    rng = random.Random(41)
+    checked = 0
+    for n_gens in (1, 2, 3):
+        gens = tuple("abc"[:n_gens])
+        letters = "".join(g + g.upper() for g in gens)
+        for _ in range(200):
+            power = _cyclically_reduced_word(rng, letters, 6) * rng.randint(2, 5)
+            for others in ((), (_cyclically_reduced_word(rng, letters, 12),)):
+                relators = (power, *others)
+                if rng.random() < 0.5:
+                    relators = relators[::-1]
+                assert not verify_small_cancellation(Presentation(gens, relators), 6), relators
+                checked += 1
+    assert checked == 1200
+
+
 class TestDehn:
     d = DehnBackend(SURFACE_GENUS2)
 

@@ -284,6 +284,10 @@ ERROR_CASES = {
     "theorem-batch-array": (["theorem", "--backend", "free:2", "--sharp-free",
                              "--batch", "{dir}/batch-array.json"], 1,
                             "batch must be a JSON array of instances"),
+    "threshold-max-periods": (["threshold", "--a", "ab", "--b", "ab", "--max-periods", "-3"],
+                              1, "need max_periods >= 1"),
+    "classify-n-max": (["classify", "--backend", "free:2", "--g", "ab", "--n-max", "3"], 64,
+                       "unrecognized arguments: --n-max 3"),
 }
 
 
@@ -306,10 +310,12 @@ def test_error_exit_code(capsys, tmp_path, argv, code, message):
 
 
 # Frozen outputs of genus-2 surface group calls, which a faster Dehn backend
-# must reproduce exactly: (argv, exit code, result, certificate).  Two
-# calls run out of budget (BudgetExceeded) and, like inj-radius and lemma41,
-# exit 1 without a record.  stable-norm answers beyond the budget from word
-# lengths, and its certificate names the powers that used them.
+# must reproduce exactly: (argv, exit code, result, certificate).  One
+# call runs out of budget (BudgetExceeded) and, like inj-radius and lemma41,
+# exits 1 without a record.  fourgon-selfcheck closes its 4-gons with
+# Dehn-reduced words, which need no budget.  stable-norm answers beyond the
+# budget from word lengths, and its certificate names the powers that used
+# them.
 GENUS2_GOLDEN = [
     (["delta", "--radius", "1"], 0, {"delta": "0"}, "lower_bound(exhaustive on ball(1))"),
     (["delta", "--radius", "2", "--seed", "0"], 1, None, None),
@@ -327,7 +333,8 @@ GENUS2_GOLDEN = [
       "phase_indices": [0, 2, 4, 6], "period_element": "dd"}, "exact"),
     (["inj-radius"], 1, None, None),
     (["lemma41", "--b", "BC", "--x-q", "BC", "--window", "4", "--r", "2"], 1, None, None),
-    (["fourgon-selfcheck", "--count", "5", "--seed", "0"], 1, None, None),
+    (["fourgon-selfcheck", "--count", "5", "--seed", "0"], 0,
+     {"checked": 5, "failures": 0}, None),
 ]
 
 

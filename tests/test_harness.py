@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from periodlines.backends import SURFACE_GENUS2, DehnBackend, FreeBackend, FreeProductBackend
+from periodlines.backends import (
+    SURFACE_GENUS2,
+    BackendError,
+    DehnBackend,
+    FreeBackend,
+    FreeProductBackend,
+)
 from periodlines.constants import ConstantsProfile
 from periodlines.geometry import GeometryError, shortest_conjugate
 from periodlines.harness import (
@@ -63,6 +69,17 @@ def test_lemma41_requires_shortest():
     free = CountingFree(2)
     assert lemma41_check(free, "ab", "", "ab", window=6, r=2).status == "witness"
     assert free.cores == 1
+
+
+@pytest.mark.parametrize("backend", [FREE, FP, DehnBackend(SURFACE_GENUS2)],
+                         ids=["free", "zmzn", "dehn"])
+def test_hypotheses_check_letters_first(backend):
+    # Dehn has no conjugacy core, which would read the letters
+    bad = backend.letters[0] + "q"
+    with pytest.raises(BackendError, match="^letter 'q' not in generating set$"):
+        lemma41_check(backend, bad, "", "", window=4, r=0)
+    with pytest.raises(BackendError, match="^letter 'q' not in generating set$"):
+        empirical_period_threshold(backend, bad, backend.letters[0], "", "", 0)
 
 
 def test_lemma41_window_gate_with_profile():
