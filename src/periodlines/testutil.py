@@ -15,8 +15,8 @@ def random_fourgon(backend, rng: random.Random, top_label: str,
                    max_len: int = 4) -> FourGon:
     """Random 4-gon with the given top label: three random sides, the fourth
     closing the loop with a normal-form word, so closure holds by
-    construction.  Sides need not be geodesic, and a normal form needs no
-    distance, so this holds beyond a Dehn backend's budget too."""
+    construction.  Sides need not be geodesic, and normal_form answers
+    beyond a Dehn backend's budget, where geodesic_word raises."""
     start = backend.normal_form(random_word(backend, rng, max_len))
     p1 = path_from_word(backend, start, random_word(backend, rng, max_len))
     p2 = path_from_word(backend, p1.end, top_label)
