@@ -39,7 +39,8 @@ from u in one half-relator, which one index lookup per occurrence of a
 half in u finds.  Only layers farther out are scanned, comparing u with
 each member of its bucket: the elements of the layer on which every
 homomorphism to Z (a functional on exponent sums that vanishes on each
-relator) takes u's value.
+relator) takes u's value.  A lookup grows the ball only where neither
+that bound nor a length floor from those homomorphisms decides it.
 """
 
 from dataclasses import dataclass
@@ -87,7 +88,8 @@ class _Backend:
 
     Arithmetic: normal_form, mul, inv, equal, is_identity.  Metric:
     dist(u, v) and geodesic_word(g) (exact, or BudgetExceeded), ball(radius)
-    and length(g) -> (n, certificate).  Path states are stacks of letters
+    (check_radius(radius) raises where it would, without building it) and
+    length(g) -> (n, certificate).  Path states are stacks of letters
     on every backend: parse_state, append_letter (free cancellation here;
     the free product and Dehn backends override both), render (a join), and
     state_dist, the length of the element a state stands for (the stack's
@@ -164,11 +166,16 @@ class _Backend:
     def geodesic_word(self, g: str) -> str:
         return self.normal_form(g)
 
+    def check_radius(self, radius: int) -> None:
+        """Raise as ball(radius) would before building anything: BackendError
+        for a negative radius (and BudgetExceeded past a budget, on Dehn)."""
+        if radius < 0:
+            raise BackendError("radius must be >= 0")
+
     def ball(self, radius: int) -> dict[str, int]:
         """Every element at distance <= radius with its exact distance,
         in deterministic ShortLex BFS order."""
-        if radius < 0:
-            raise BackendError("radius must be >= 0")
+        self.check_radius(radius)
         out = {"": 0}
         frontier = [""]
         letters = sorted(self.letters, key=letter_rank)
@@ -520,9 +527,16 @@ class DehnBackend(_Backend):
     bucket by bucket (see _same_element).  On genus 2, L2 = 14: growing
     the ball to radius 6 never scans, and at the default budget neither
     does a lookup of a word whose Dehn reduction is at most 9 letters long.
-    A Dehn-reduced u with 2 |u| <= L2 is a geodesic (see _member):
-    state_dist, and so length and dist, read |u| off such a u without
-    growing the ball.
+
+    normal_form, geodesic_word and state_dist (so length and dist) look a
+    Dehn-reduced u up in one place, _canonical, which grows the ball only
+    where no certified bound decides.  A u longer than max_radius lies
+    outside the ball if |u| + max_radius < L2 or if a homomorphism to Z
+    puts its element farther out (_length_floor).  Within the budget, a u
+    with 2 |u| < L2 is a geodesic whose ShortLex form is the least of u
+    and its one-half-relator rewrites, and state_dist reads |u| off a u
+    with 2 |u| <= L2.  Every other u is looked up in the ball, grown to
+    min(|u|, max_radius).
 
     A path state is the stack of the real-time reduction (see _push):
     parse_state pushes a word onto an empty stack and append_letter pushes
@@ -567,6 +581,8 @@ class DehnBackend(_Backend):
         vectors = [self._abelian_vector(rel) for rel in presentation.relators]
         self._homs = None if not any(map(any, vectors)) else \
             _integer_kernel(vectors, len(presentation.generators))
+        # the most one letter moves each homomorphism (see _length_floor)
+        self._hom_steps = [max(map(abs, phi)) for phi in self._homs or ()]
         # The ball: its elements in BFS order as ShortLex geodesics, and the
         # index of each.  Layer d is _canon[_layer_start[d]:_layer_start[d + 1]].
         # The scan's (homomorphism values, layer) buckets hold _canon[:_bucketed],
@@ -587,6 +603,18 @@ class DehnBackend(_Backend):
         if self._homs is None:
             return v
         return tuple(sum(f * x for f, x in zip(phi, v)) for phi in self._homs)
+
+    def _length_floor(self, w: str) -> int:
+        """A lower bound on the length of w's element from the homomorphisms
+        to Z.  A letter changes one exponent sum by 1, so where those sums
+        are the homomorphisms (_homs is None) the length is at least their
+        L1 norm.  Otherwise a letter moves phi by at most the largest
+        |phi(letter)|, so the length is at least |phi(w)| over that, for
+        every phi."""
+        key = self._bucket_key(w)
+        if self._homs is None:
+            return sum(map(abs, key))
+        return max((-(-abs(x) // step) for x, step in zip(key, self._hom_steps)), default=0)
 
     def _push(self, stack: list[str], w: str) -> None:
         """Multiply the Dehn-reduced word on `stack` by w, in place.
@@ -661,6 +689,15 @@ class DehnBackend(_Backend):
             return s + inverse_word(t) in self._symmetrized
         return self.is_identity(s + inverse_word(t))
 
+    def _rewrites(self, u: str):
+        """The one-half-relator rewrites of u: u with one occurrence of a
+        half of an even symmetrized relator replaced by the other half."""
+        for h in self._half_lengths:
+            for i in range(len(u) - h + 1):
+                t = self._halves.get(u[i:i + h])
+                if t is not None:
+                    yield u[:i] + t + u[i + h:]
+
     def _member(self, u: str, radius: int) -> int | None:
         """Index of the ball element of length <= radius equal to the
         Dehn-reduced word u, or None.  Layers up to radius must be built.
@@ -689,13 +726,10 @@ class DehnBackend(_Backend):
             idx = self._index.get(u)
             if idx is not None:
                 return idx
-            for h in self._half_lengths:
-                for i in range(len(u) - h + 1):
-                    t = self._halves.get(u[i:i + h])
-                    if t is not None:
-                        idx = self._index.get(u[:i] + t + u[i + h:])
-                        if idx is not None:
-                            return idx
+            for v in self._rewrites(u):
+                idx = self._index.get(v)
+                if idx is not None:
+                    return idx
         if len(u) + radius < self._l2:
             return None
         return self._scan(u, range(max(0, self._l2 - len(u)), radius + 1))
@@ -738,48 +772,79 @@ class DehnBackend(_Backend):
                     self._canon.append(cand)
             self._layer_start.append(len(self._canon))
 
-    def ball(self, radius: int) -> dict[str, int]:
-        if radius < 0:
-            raise BackendError("radius must be >= 0")
+    def check_radius(self, radius: int) -> None:
+        super().check_radius(radius)
         if radius > self.max_radius:
             raise BudgetExceeded(f"ball radius {radius} exceeds budget; largest completed "
                                  f"radius is {self.max_radius}", None)
+
+    def ball(self, radius: int) -> dict[str, int]:
+        self.check_radius(radius)
         self._grow(radius)
         # canonical words are geodesics: a word's length is its distance
         return {w: len(w) for w in self._canon[:self._layer_start[radius + 1]]}
 
-    def _find(self, red: str) -> int | None:
-        """Index of the ball element equal to the Dehn-reduced word red, or
-        None.  An element is no longer than any word for it, so the ball is
-        grown only to the length of red."""
-        radius = min(len(red), self.max_radius)
+    def _canonical(self, red: str) -> str | None:
+        """The ShortLex geodesic of the element of the Dehn-reduced word red
+        if that element lies in the budget ball, or None.  The ball is grown
+        only where neither of these certified bounds decides, n = |red|:
+
+        - n > max_radius: the element lies outside the ball if
+          n + max_radius < L2 (_member) or if _length_floor(red) exceeds
+          max_radius.
+        - n <= max_radius and 2 n < L2: the answer is the ShortLex-least of
+          red and its one-half-relator rewrites (_rewrites).  Proof: red
+          is a geodesic, as 2 n <= L2 (_member's lemma), so its element lies
+          in layer n.  Any geodesic v of that element has |red| + |v| = 2 n
+          < L2, so by _member's argument v is red or one of its one-half-
+          relator rewrites; and each rewrite is a word of n letters for the
+          element, hence a geodesic.  The ball's word for the element is its
+          ShortLex-least geodesic g, by induction on n: g without its last
+          letter is the ShortLex-least geodesic of its own element, so it is
+          the ball's word for that element, and _grow, which extends the
+          ShortLex-sorted layer n - 1 by letters in rank order, meets the
+          words of layer n in ShortLex order, g first among the element's.
+
+        Otherwise the ball is grown to min(n, max_radius), since an element
+        is no longer than any word for it, and _member looks red up.
+        """
+        n, radius = len(red), self.max_radius
+        if n > radius:
+            if n + radius < self._l2 or self._length_floor(red) > radius:
+                return None
+        elif 2 * n < self._l2:
+            best = red  # keys are compared only where a rewrite exists
+            for cand in self._rewrites(red):
+                if shortlex_key(cand) < shortlex_key(best):
+                    best = cand
+            return best
+        radius = min(n, radius)
         self._grow(radius)
-        return self._member(red, radius)
+        idx = self._member(red, radius)
+        return None if idx is None else self._canon[idx]
 
     def normal_form(self, w: str) -> str:
         """ShortLex geodesic canonical form when w lies in the budget ball,
         otherwise a Dehn-reduced form (length(w) then is not exact)."""
         red = self.dehn_reduce(w)
-        idx = self._find(red)
-        return red if idx is None else self._canon[idx]
+        canon = self._canonical(red)
+        return red if canon is None else canon
 
     def _ball_length(self, red: str) -> int | None:
         """Length of the element of the Dehn-reduced word red if it lies in
-        the budget ball, or None; read off red where _member's argument
-        decides it."""
-        n, radius = len(red), self.max_radius
-        if n <= radius and 2 * n <= self._l2:
+        the budget ball, or None.  A red with 2 |red| <= L2 is a geodesic
+        (_member's lemma), so its length needs no rewrite."""
+        n = len(red)
+        if n <= self.max_radius and 2 * n <= self._l2:
             return n
-        if n > radius and n + radius < self._l2:
-            return None
-        idx = self._find(red)
-        return None if idx is None else len(self._canon[idx])
+        canon = self._canonical(red)
+        return None if canon is None else len(canon)
 
     def geodesic_word(self, g: str) -> str:
-        idx = self._find(self.dehn_reduce(g))
-        if idx is None:
+        canon = self._canonical(self.dehn_reduce(g))
+        if canon is None:
             raise BudgetExceeded("geodesic unavailable at budget", self.max_radius + 1)
-        return self._canon[idx]
+        return canon
 
     def parse_state(self, w: str) -> list[str]:
         self.check_word(w)

@@ -226,21 +226,32 @@ def main_theorem_check(inst: TheoremInstance, profile=None,
 
 def commensurability_search(backend, a: str, b: str, max_exponent: int = 8,
                             conjugator_bound: int = 4):
-    """(g, s, t) with a^s = g^-1 b^t g, exactly where the backend has an
-    oracle (backend.commensurate) and by bounded search elsewhere; the
-    certificate records which."""
+    """(g, s, t) with a^s = g^-1 b^t g, a^s and b^t nontrivial, exactly
+    where the backend has an oracle (backend.commensurate) and by bounded
+    search elsewhere; the certificate records which.
+
+    The bounded search drops trivial powers, so elements of finite order
+    are not called commensurable through a^s = b^t = 1.  It walks the
+    conjugator ball layer by layer in BFS order, so a hit in layer d builds
+    no layer beyond d; a bound past the backend's budget is refused before
+    any layer is searched."""
     if backend.is_identity(a) or backend.is_identity(b):
         raise HypothesisError("trivial element excluded")
     exact = backend.commensurate(a, b)
     if exact is not None:
         return exact
-    powers_a = _powers(backend, a, max_exponent)
-    powers_b = _powers(backend, b, max_exponent)
-    for g in backend.ball(conjugator_bound):
-        # g a^s g^-1 = b^t, re-verified as a^s = g^-1 b^t g
-        hit = _conjugate_powers(backend, powers_b, powers_a, g)
-        if hit is not None:
-            return {"g": g, **hit}, f"bounded({max_exponent},{conjugator_bound})"
+    backend.check_radius(conjugator_bound)
+    # a state renders as "" iff it stands for the identity
+    powers_a = {s: w for s, w in _powers(backend, a, max_exponent).items() if w}
+    powers_b = {t: w for t, w in _powers(backend, b, max_exponent).items() if w}
+    for d in range(conjugator_bound + 1):
+        for g, n in backend.ball(d).items():
+            if n < d:
+                continue
+            # g a^s g^-1 = b^t, re-verified as a^s = g^-1 b^t g
+            hit = _conjugate_powers(backend, powers_b, powers_a, g)
+            if hit is not None:
+                return {"g": g, **hit}, f"bounded({max_exponent},{conjugator_bound})"
     return None, f"not found within bounds ({max_exponent},{conjugator_bound})"
 
 

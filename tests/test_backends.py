@@ -384,19 +384,49 @@ def genus2_r6():
     return d
 
 
+def _surface_spheres(genus, radius):
+    """Sphere sizes of the genus-g surface group up to radius, from its
+    growth series f (Cannon): with m = 2 g,
+    (1 - (4 g - 2)(t + ... + t^(m - 1)) + t^m) f = 1 + 2 (t + ... + t^(m - 1)) + t^m."""
+    m = 2 * genus
+    numerator = [1] + [2] * (m - 1) + [1]
+    denominator = [1] + [-(4 * genus - 2)] * (m - 1) + [1]
+    f = []
+    for n in range(radius + 1):
+        f.append((numerator[n] if n <= m else 0)
+                 - sum(denominator[k] * f[n - k] for k in range(1, min(n, m) + 1)))
+    return f
+
+
+def _surface(genus):
+    gens = tuple(chr(ord("a") + i) for i in range(2 * genus))
+    return Presentation(gens, ("".join(x + y + x.upper() + y.upper()
+                                       for x, y in zip(gens[::2], gens[1::2])),))
+
+
+def _spheres(ball, radius):
+    return [sum(1 for d in ball.values() if d == n) for n in range(radius + 1)]
+
+
 def test_genus2_sphere_sizes(genus2_r6):
-    # The growth series f of the genus-2 surface group (Cannon):
-    # (1 - 6t - 6t^2 - 6t^3 + t^4) f = 1 + 2t + 2t^2 + 2t^3 + t^4, that is
-    # 1, 8, 56, 392, 2736, 19096, 133288.  Radius 6 lies past the default
-    # budget and is built by one-cell rewrites alone (L2 = 14 > 2 * 6).
-    numerator, f = [1, 2, 2, 2, 1], []
-    for n in range(7):
-        f.append((numerator[n] if n < 5 else 0)
-                 + sum(c * f[n - k] for k, c in ((1, 6), (2, 6), (3, 6), (4, -1)) if n >= k))
+    # (1 - 6t - 6t^2 - 6t^3 + t^4) f = 1 + 2t + 2t^2 + 2t^3 + t^4.  Radius 6
+    # lies past the default budget and is built by one-cell rewrites alone
+    # (L2 = 14 > 2 * 6).
+    assert _surface(2) == SURFACE_GENUS2
+    f = _surface_spheres(2, 6)
     assert f[:5] == [1, 8, 56, 392, 2736]  # the Fuchsian oracle's frozen sizes
-    ball = genus2_r6.ball(6)
-    spheres = [sum(1 for d in ball.values() if d == n) for n in range(7)]
-    assert spheres == f == [1, 8, 56, 392, 2736, 19096, 133288]
+    assert _spheres(genus2_r6.ball(6), 6) == f == [1, 8, 56, 392, 2736, 19096, 133288]
+
+
+@pytest.mark.parametrize("genus, radius, sizes", [
+    (3, 5, [1, 12, 132, 1452, 15972, 175692]),
+    (4, 4, [1, 16, 240, 3600, 54000]),
+], ids=["genus3", "genus4"])
+def test_surface_sphere_sizes(genus, radius, sizes):
+    # one-cell rewrites build these balls too: L2 = 2 (4 g - 1) > 2 radius
+    assert _surface_spheres(genus, radius) == sizes
+    d = DehnBackend(_surface(genus), max_radius=radius)
+    assert _spheres(d.ball(radius), radius) == sizes
 
 
 def test_ball_grows_on_demand():
@@ -689,6 +719,78 @@ def test_dehn_short_reduced_lengths_match_scan(presentation, budget, ref, data):
     assert len(d._layer_start) == 2, u
     expected = (ref.length(u), _outcome(ref.dist, "", u), _outcome(ref.state_dist, list(u)))
     assert got == expected, u
+
+
+# Presentations on which the lookups that need no ball are compared with a
+# fully grown ball, each with the radius of the ball whose elements are
+# inputs: 5, or 4 where ball(5) is large (193,261 elements on genus 3) or
+# slow to build (9 s on abcd).  <a, b, c, d | abcd> has no pieces, so
+# L2 = 8 = 2 * 4 meets the default budget: there a Dehn-reduced word of 4
+# letters can differ from its ShortLex form in two cells (bcbc = ADAD),
+# which only the grown ball finds.
+LOOKUP_PRESENTATIONS = {
+    "genus2": (SURFACE_GENUS2, 5),
+    "genus3": (Presentation(tuple("abcdef"), ("abABcdCDefEF",)), 4),
+    "one-relator": (SCAN_PATH_CASES[0][0], 5),
+    "two-relator": (SCAN_PATH_CASES[1][0], 5),
+    "abcd": (Presentation(tuple("abcd"), ("abcd",)), 4),
+}
+
+
+@pytest.mark.parametrize("presentation, radius", LOOKUP_PRESENTATIONS.values(),
+                         ids=LOOKUP_PRESENTATIONS.keys())
+def test_dehn_lookups_match_the_grown_ball(presentation, radius):
+    """normal_form, geodesic_word (or its BudgetExceeded), length and dist
+    on a fresh backend at the default budget equal what _member finds in
+    a backend whose ball is grown to the budget.  Inputs: every element of
+    ball(radius), the words one and two trades of a half-relator for the
+    other half away from each, and seeded random Dehn-reduced words of 1 to
+    12 letters."""
+    d, ref = DehnBackend(presentation), DehnBackend(presentation)
+    budget = ref.max_radius
+    ref.ball(budget)
+    ball = list(DehnBackend(presentation, max_radius=radius).ball(radius))
+    rng = random.Random(17)
+    sym = presentation.symmetrized()
+    halves = [(rho[:len(rho) // 2], inverse_word(rho[len(rho) // 2:]))
+              for rho in sym if len(rho) % 2 == 0]
+    words = list(ball)
+    for w in ball:
+        # up to two trades: two take ADAD to bcbc on abcd
+        for _ in range(2):
+            traded = [w[:i] + t + w[i + len(s):] for s, t in halves
+                      for i in range(len(w)) if w.startswith(s, i)]
+            if traded:
+                w = rng.choice(traded)
+                words.append(w)
+    letters = "".join(d.letters)
+    while len(words) < len(ball) + 3000:
+        red = d.dehn_reduce("".join(rng.choice(letters) for _ in range(rng.randint(1, 16))))
+        if 1 <= len(red) <= 12:
+            words.append(red)
+
+    def expected(w):
+        red = ref.dehn_reduce(w)
+        idx = ref._member(red, budget)
+        canon = None if idx is None else ref._canon[idx]
+        geodesic = canon if canon is not None else "BudgetExceeded: geodesic unavailable at budget"
+        length = (len(canon), "exact") if canon is not None else \
+            (budget, f"lower_bound({budget})")
+        return (red if canon is None else canon), geodesic, length
+
+    moved = 0
+    for w in words:
+        got = d.normal_form(w), _outcome(d.geodesic_word, w), d.length(w)
+        assert got == expected(w), w
+        moved += got[0] != d.dehn_reduce(w)
+    for u, v in zip(words[::7], words[3::7]):
+        n, cert = expected(inverse_word(u) + v)[2]
+        want = n if cert == "exact" else \
+            f"BudgetExceeded: distance not certified within radius {budget}"
+        assert _outcome(d.dist, u, v) == want, (u, v)
+    # the normal form differs from the Dehn reduction on some inputs, if a
+    # half-relator fits in the budget
+    assert moved > 0 if any(len(s) <= budget for s, _ in halves) else moved == 0
 
 
 # Budgets at which BudgetExceeded.bound is checked, each with a backend of a

@@ -70,6 +70,13 @@ def test_commensurate(capsys):
     assert code == 2
 
 
+def test_commensurate_needs_nontrivial_powers(capsys):
+    # x^2 = y^3 = 1 in Z/2*Z/3, but that common power is trivial
+    code, rec = run_json(capsys, ["commensurate", "--backend", "zmzn:2,3", "--a", "x", "--b", "y"])
+    assert code == 2 and rec["result"] == {"witness": None}
+    assert rec["certificate"] == "not found within bounds (8,4)"
+
+
 def test_delta(capsys):
     code, rec = run_json(capsys, ["delta", "--backend", "zmzn:2,3", "--radius", "2"])
     assert code == 0 and rec["result"]["delta"] == "1/2"
@@ -271,6 +278,9 @@ ERROR_CASES = {
                      "missing the key 'mu'"),
     "BudgetExceeded": (["delta", "--backend", "dehn:{dir}/genus2.txt", "--radius", "2",
                         "--seed", "0"], 1, "distance not certified within radius 4"),
+    "conjugator-bound-past-budget": (["commensurate", "--backend", "dehn:{dir}/genus2.txt",
+                                      "--a", "ab", "--b", "ab", "--conjugator-bound", "5"], 1,
+                                     "ball radius 5 exceeds budget; largest completed radius is 4"),
     "negative-radius-dehn": (["delta", "--backend", "dehn:{dir}/genus2.txt", "--radius", "-1"],
                              1, "radius must be >= 0"),
     "theorem-usage": (["theorem", "--backend", "free:2", "--sharp-free"], 64,

@@ -447,6 +447,20 @@ def test_genus2_stable_norm_grows_no_layer():
     assert d._layer_start == [0, 1]
 
 
+@pytest.mark.parametrize("presentation, g, value", [
+    (SURFACE_GENUS2, "abc", 3), (SURFACE_GENUS2, "ABC", 3),
+    (TORSION_FREE_DEHN["aabaBBc"], "B", 1), (TORSION_FREE_DEHN["aabaBBc"], "bbb", 3),
+], ids=["genus2-abc", "genus2-ABC", "aabaBBc-B", "aabaBBc-bbb"])
+def test_dehn_stable_norm_beyond_the_budget_grows_no_layer(presentation, g, value):
+    # g^n past the budget has too many letters for L2 to decide it, but a
+    # homomorphism to Z puts it beyond the budget: the exponent sums on
+    # genus 2, and phi(b) = 3 for phi = (1, 3, 0) on <a, b, c | aabaBBc>
+    d = DehnBackend(presentation)
+    best, cert = stable_norm_estimate(d, g, 8)
+    assert best == value and cert.startswith("upper_bound(n_max=8, word_length_at_n=")
+    assert d._layer_start == [0, 1]
+
+
 def test_genus2_acylindricity_profile_grows_nothing_past_its_radius():
     # a conjugate g^-1 f g reduces to at most 9 letters, and 9 + 4 < L2 =
     # 14, so one beyond the budget needs no layer 4

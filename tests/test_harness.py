@@ -7,6 +7,7 @@ import pytest
 from periodlines.backends import (
     SURFACE_GENUS2,
     BackendError,
+    BudgetExceeded,
     DehnBackend,
     FreeBackend,
     FreeProductBackend,
@@ -186,9 +187,10 @@ def test_commensurability_search_matches_candidate_loop():
     """The bounded search, run through the theorems' witness search over
     the conjugator ball, returns the candidate loop's witness and
     certificate: on every ordered pair of Z/2*Z/3 words of length 1 to 3
-    (finite-order ones too, whose powers repeat) at bounds (3, 2), where
-    the lookup by normal form answers, and on genus-2 pairs (w^2, w),
-    |w| <= 2, at (3, 1), where the pairwise loop does."""
+    (finite-order ones too, whose powers repeat and whose trivial powers
+    both sides drop) at bounds (3, 2), where the lookup by normal form
+    answers, and on genus-2 pairs (w^2, w), |w| <= 2, at (3, 1), where the
+    pairwise loop does."""
     dehn = DehnBackend(SURFACE_GENUS2)
     fp_words = ["".join(w) for n in (1, 2, 3) for w in itertools.product("xyY", repeat=n)]
     dehn_words = ["".join(w) for n in (1, 2) for w in itertools.product(dehn.letters, repeat=n)]
@@ -201,7 +203,35 @@ def test_commensurability_search_matches_candidate_loop():
         got = commensurability_search(backend, a, b, n, bound)
         assert got == commensurability_reference(backend, a, b, n, bound), (a, b)
         found[backend] += got[0] is not None
-    assert found[FP] > 600 and found[dehn] == 64, found
+    assert found[FP] > 400 and found[dehn] == 64, found
+
+
+def test_commensurability_search_needs_nontrivial_powers():
+    """x^2 = y^3 = 1 in Z/2*Z/3 is no witness: the bounded search drops
+    trivial powers.  x is commensurable with itself through x^-1 = x,
+    the first pair in the search order."""
+    assert commensurability_search(FP, "x", "y") == (None, "not found within bounds (8,4)")
+    assert commensurability_search(FP, "x", "x") == ({"g": "", "s": -1, "t": 1}, "bounded(8,4)")
+    assert commensurability_search(FP, "y", "Y", 3, 2) == \
+        ({"g": "", "s": -1, "t": 1}, "bounded(3,2)")
+
+
+def test_commensurability_search_stops_at_the_witness_layer():
+    # genus-2 powers are looked up by Dehn reduction, so a witness with
+    # g = "" builds no ball layer beyond 0
+    d = DehnBackend(SURFACE_GENUS2)
+    assert commensurability_search(d, "DDDD", "dd") == ({"g": "", "s": -1, "t": 2}, "bounded(8,4)")
+    assert d._layer_start == [0, 1]
+
+
+def test_commensurability_search_refuses_a_bound_past_the_budget():
+    # refused before layer 0, where ab would be its own witness
+    d = DehnBackend(SURFACE_GENUS2)
+    with pytest.raises(BudgetExceeded, match="^ball radius 5 exceeds budget"):
+        commensurability_search(d, "ab", "ab", conjugator_bound=5)
+    assert d._layer_start == [0, 1]
+    with pytest.raises(BackendError, match="radius must be >= 0"):
+        commensurability_search(FP, "xy", "xy", conjugator_bound=-1)
 
 
 def test_commensurability_search_reverifies_bounded_witness():
