@@ -112,8 +112,9 @@ class _Backend:
       None;
     - centralizer_note(z, b): extra lemma 4.1 details, or {};
     - sharp_periods: the exact period threshold at r = 0, or None;
-    - canonical_forms: whether equal elements always have equal normal
-      forms (on Dehn, only where length is "exact").
+    - element_key(w): equal for equal elements.  Two words with equal
+      keys are one element if they are identical, and otherwise equal
+      decides.  Here the key is w itself: callers pass normal forms.
 
     The code here assumes canonical normal forms that are geodesic words,
     and its conjugacy_core holds in free groups and free products; a backend
@@ -123,7 +124,6 @@ class _Backend:
 
     elliptic_core_len = 0
     sharp_periods = None
-    canonical_forms = True
 
     def __init__(self, letters: list[str], aliases: str = ""):
         self.letters = letters
@@ -224,6 +224,9 @@ class _Backend:
         # every rotation of a cyclically reduced core is a normal form
         i = min(range(len(core)), key=lambda i: shortlex_key(core[i:] + core[:i]), default=0)
         return self.mul(conj, core[:i]), core[i:] + core[:i]
+
+    def element_key(self, w: str):
+        return w
 
     def commensurate(self, a: str, b: str):
         return None
@@ -545,8 +548,6 @@ class DehnBackend(_Backend):
     is Dehn-reduced, so state_dist looks it up without reducing it again.
     """
 
-    canonical_forms = False  # only within the budget ball
-
     def __init__(self, presentation: Presentation, max_radius: int = 4):
         if not verify_small_cancellation(presentation, 6):
             raise BackendError("presentation is not C'(1/6); Dehn backend refused")
@@ -596,7 +597,7 @@ class DehnBackend(_Backend):
     def _abelian_vector(self, w: str) -> tuple:
         return tuple(w.count(g) - w.count(g.upper()) for g in self.presentation.generators)
 
-    def _bucket_key(self, w: str) -> tuple:
+    def element_key(self, w: str) -> tuple:
         """The values of the homomorphisms to Z at w, equal for equal
         elements."""
         v = self._abelian_vector(w)
@@ -611,7 +612,7 @@ class DehnBackend(_Backend):
         L1 norm.  Otherwise a letter moves phi by at most the largest
         |phi(letter)|, so the length is at least |phi(w)| over that, for
         every phi."""
-        key = self._bucket_key(w)
+        key = self.element_key(w)
         if self._homs is None:
             return sum(map(abs, key))
         return max((-(-abs(x) // step) for x, step in zip(key, self._hom_steps)), default=0)
@@ -740,9 +741,9 @@ class DehnBackend(_Backend):
         its bucket in each layer (see _same_element)."""
         for idx in range(self._bucketed, len(self._canon)):
             w = self._canon[idx]
-            self._buckets.setdefault((self._bucket_key(w), len(w)), []).append(idx)
+            self._buckets.setdefault((self.element_key(w), len(w)), []).append(idx)
         self._bucketed = len(self._canon)
-        key = self._bucket_key(u)
+        key = self.element_key(u)
         for layer in layers:
             for idx in self._buckets.get((key, layer), ()):
                 if self._same_element(u, self._canon[idx]):

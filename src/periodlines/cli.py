@@ -42,6 +42,11 @@ def parse_fraction(text) -> Fraction:
 def load_profile(path: str) -> ConstantsProfile:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ProfileError(f"profile {path} is not a JSON object")
+    entries = data.get("acyl", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ProfileError(f"profile {path}: acyl is not a JSON array of objects")
     try:
         mu = data["mu"]
         if isinstance(mu, dict):
@@ -49,8 +54,8 @@ def load_profile(path: str) -> ConstantsProfile:
         else:
             mu_value, mu_prov = mu, "user-supplied"
         acyl = {}
-        for entry in data.get("acyl", []):
-            acyl[parse_fraction(entry["eps"])] = (parse_fraction(entry["R"]), int(entry["N"]))
+        for entry in entries:
+            acyl[parse_fraction(entry["eps"])] = (parse_fraction(entry["R"]), entry["N"])
         delta, tau = data["delta"], data["tau"]
     except KeyError as exc:
         raise ProfileError(f"profile {path} is missing the key {exc.args[0]!r}") from None
@@ -269,8 +274,10 @@ def cmd_theorem(args):
                 a, b = item["a"], item["b"]
             except KeyError as exc:
                 raise ValueError(f"batch instance {i} is missing the key {exc.args[0]!r}") from None
-            res = _theorem_one(backend, args, profile, a, b,
-                               item.get("x", ""), item.get("y", ""), item.get("r", 0))
+            x, y, r = item.get("x", ""), item.get("y", ""), item.get("r", 0)
+            if not all(isinstance(w, str) for w in (a, b, x, y)) or type(r) is not int:
+                raise ValueError(f"batch instance {i} needs words a, b, x, y and an integer r")
+            res = _theorem_one(backend, args, profile, a, b, x, y, r)
             records.append({"instance": item, "hypothesis_status": res.status,
                             "witness": res.witness, "certificate": res.details})
             worst = max(worst, _harness_exit(res))

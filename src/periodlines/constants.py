@@ -64,7 +64,7 @@ class ConstantsProfile:
         table = {}
         for eps, (R, N) in acyl.items():
             eps, R = Fraction(eps), Fraction(R)
-            if N != int(N) or int(N) < 1:
+            if not isinstance(N, (int, float, Fraction)) or N % 1 or N < 1:
                 raise ProfileError("acylindricity N must be a positive integer")
             table[eps] = (R, int(N))
         sigma = Fraction(8 * delta + 1, 1) / tau

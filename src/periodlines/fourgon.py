@@ -29,7 +29,8 @@ class FourGon:
     def validate(self, backend) -> None:
         sides = self.sides
         for i in range(4):
-            if sides[i].vertices[-1] != sides[(i + 1) % 4].vertices[0]:
+            u, v = sides[i].vertices[-1], sides[(i + 1) % 4].vertices[0]
+            if u != v and not backend.equal(u, v):
                 raise FourGonError(f"side {i + 1} does not chain to side {(i + 1) % 4 + 1}")
         loop = "".join(s.label for s in sides)
         if not backend.is_identity(loop):
@@ -66,9 +67,9 @@ def compose(P: FourGon, Q: FourGon, backend) -> FourGon:
     r1 = translate_path(Q.p1, g, backend)
     r3 = translate_path(Q.p3, g, backend)
     r4 = translate_path(Q.p4, g, backend)
-    s1 = concat_paths(P.p1, reverse_path(r1))
+    s1 = concat_paths(P.p1, reverse_path(r1), backend)
     s2 = reverse_path(r4)
-    s3 = concat_paths(reverse_path(r3), P.p3)
+    s3 = concat_paths(reverse_path(r3), P.p3, backend)
     s4 = P.p4
     S = FourGon(s1, s2, s3, s4)
     S.validate(backend)

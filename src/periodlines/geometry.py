@@ -68,8 +68,11 @@ def reverse_path(p: PathInGraph) -> PathInGraph:
     return PathInGraph(list(reversed(p.vertices)), inverse_word(p.label))
 
 
-def concat_paths(p: PathInGraph, q: PathInGraph) -> PathInGraph:
-    if p.vertices[-1] != q.vertices[0]:
+def concat_paths(p: PathInGraph, q: PathInGraph, backend) -> PathInGraph:
+    """p then q.  Vertices need not be canonical words (Dehn-reduced ones are
+    not), so p's end and q's start match if identical, else by equal."""
+    u, v = p.vertices[-1], q.vertices[0]
+    if u != v and not backend.equal(u, v):
         raise GeometryError("paths do not share an endpoint")
     return PathInGraph(p.vertices + q.vertices[1:], p.label + q.label)
 

@@ -8,7 +8,6 @@ within bounds" is an unknown, except where an exact oracle exists (free
 backend commensurability).
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -114,28 +113,23 @@ def _witness_search(backend, a: str, b: str, x: str, y: str, max_exponent: int):
 
 def _conjugate_powers(backend, powers_a: dict, powers_b: dict, u: str):
     """{s, t} with u b^s u^-1 = a^t over the power tables of a and b, by
-    |s| + |t|, then s ascending, then t positive first, or None.  The hit is
-    re-verified in the conjugation form u^-1 a^t u = b^s before emission."""
+    |s| + |t|, then s ascending, then t positive first, or None.  Only pairs
+    whose element keys agree are compared: identical words match, and any
+    other pair asks backend.equal.  The hit is re-verified in the
+    conjugation form u^-1 a^t u = b^s before emission."""
     u_inv = backend.inv(u)
     conj_b = {s: backend.mul(backend.mul(u, bs), u_inv) for s, bs in powers_b.items()}
-
-    def order(st):
-        return abs(st[0]) + abs(st[1]), st[0], -st[1]
-
-    if backend.canonical_forms:
-        # equal elements have equal normal forms, and powers and products
-        # are normal forms: one lookup per s finds its first t in the order
-        first_t = {}
-        for t in sorted(powers_a, key=lambda t: (abs(t), -t)):
-            first_t.setdefault(powers_a[t], t)
-        hits = sorted(((s, first_t[w]) for s, w in conj_b.items() if w in first_t), key=order)
-    else:
-        hits = (st for st in sorted(itertools.product(powers_b, powers_a), key=order)
-                if backend.equal(conj_b[st[0]], powers_a[st[1]]))
-    for s, t in hits:
-        if not backend.equal(backend.mul(backend.mul(u_inv, powers_a[t]), u), powers_b[s]):
-            raise RuntimeError("witness failed re-verification")
-        return {"s": s, "t": t}
+    bucket = {}
+    for t, w in powers_a.items():
+        bucket.setdefault(backend.element_key(w), []).append(t)
+    pairs = sorted(((s, t) for s, w in conj_b.items()
+                    for t in bucket.get(backend.element_key(w), ())),
+                   key=lambda st: (abs(st[0]) + abs(st[1]), st[0], -st[1]))
+    for s, t in pairs:
+        if conj_b[s] == powers_a[t] or backend.equal(conj_b[s], powers_a[t]):
+            if not backend.equal(backend.mul(backend.mul(u_inv, powers_a[t]), u), powers_b[s]):
+                raise RuntimeError("witness failed re-verification")
+            return {"s": s, "t": t}
     return None
 
 

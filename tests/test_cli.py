@@ -294,6 +294,25 @@ ERROR_CASES = {
     "theorem-batch-array": (["theorem", "--backend", "free:2", "--sharp-free",
                              "--batch", "{dir}/batch-array.json"], 1,
                             "batch must be a JSON array of instances"),
+    "profile-not-object": (["constants", "--profile", "{dir}/profile-list.json"], 1,
+                           "is not a JSON object"),
+    "profile-acyl-list": (["constants", "--profile", "{dir}/acyl-list.json"], 1,
+                          "acyl is not a JSON array of objects"),
+    "profile-acyl-object": (["constants", "--profile", "{dir}/acyl-object.json"], 1,
+                            "acyl is not a JSON array of objects"),
+    "profile-fractional-N": (["constants", "--profile", "{dir}/fractional-n.json"], 1,
+                             "acylindricity N must be a positive integer"),
+    "profile-null-N": (["constants", "--profile", "{dir}/null-n.json"], 1,
+                       "acylindricity N must be a positive integer"),
+    "theorem-batch-word": (["theorem", "--backend", "free:2", "--sharp-free",
+                            "--batch", "{dir}/batch-word.json"], 1,
+                           "batch instance 0 needs words a, b, x, y and an integer r"),
+    "theorem-batch-null": (["theorem", "--backend", "free:2", "--sharp-free",
+                            "--batch", "{dir}/batch-null.json"], 1,
+                           "batch instance 0 needs words a, b, x, y and an integer r"),
+    "theorem-batch-r": (["theorem", "--backend", "free:2", "--periods", "2",
+                         "--batch", "{dir}/batch-r.json"], 1,
+                        "batch instance 0 needs words a, b, x, y and an integer r"),
     "threshold-max-periods": (["threshold", "--a", "ab", "--b", "ab", "--max-periods", "-3"],
                               1, "need max_periods >= 1"),
     "classify-n-max": (["classify", "--backend", "free:2", "--g", "ab", "--n-max", "3"], 64,
@@ -304,10 +323,22 @@ ERROR_CASES = {
 @pytest.mark.parametrize("argv,code,message", ERROR_CASES.values(), ids=ERROR_CASES.keys())
 def test_error_exit_code(capsys, tmp_path, argv, code, message):
     (tmp_path / "genus2.txt").write_text("gens: a,b,c,d\nrel: abABcdCD\n")
-    (tmp_path / "profile.json").write_text(json.dumps({"delta": "0", "tau": "2"}))
-    (tmp_path / "batch.json").write_text(json.dumps([{"a": "ab", "b": "ab"}, {"a": "ab"}]))
-    (tmp_path / "batch-item.json").write_text("[1]")
-    (tmp_path / "batch-array.json").write_text(json.dumps({"a": "ab"}))
+    files = {
+        "profile.json": {"delta": "0", "tau": "2"},
+        "profile-list.json": [1],
+        "acyl-list.json": {**PROFILE, "acyl": [1]},
+        "acyl-object.json": {**PROFILE, "acyl": {"a": 1}},
+        "fractional-n.json": {**PROFILE, "acyl": [{"eps": "24", "R": "10", "N": 1.5}]},
+        "null-n.json": {**PROFILE, "acyl": [{"eps": "24", "R": "10", "N": None}]},
+        "batch.json": [{"a": "ab", "b": "ab"}, {"a": "ab"}],
+        "batch-item.json": [1],
+        "batch-array.json": {"a": "ab"},
+        "batch-word.json": [{"a": 1, "b": "ab"}],
+        "batch-null.json": [{"a": "ab", "b": "ab", "x": None}],
+        "batch-r.json": [{"a": "ab", "b": "ab", "r": "1"}],
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
     try:
         got = main([arg.format(dir=tmp_path) for arg in argv])
     except SystemExit as exc:

@@ -188,14 +188,23 @@ def test_commensurability_search_matches_candidate_loop():
     the conjugator ball, returns the candidate loop's witness and
     certificate: on every ordered pair of Z/2*Z/3 words of length 1 to 3
     (finite-order ones too, whose powers repeat and whose trivial powers
-    both sides drop) at bounds (3, 2), where the lookup by normal form
-    answers, and on genus-2 pairs (w^2, w), |w| <= 2, at (3, 1), where the
-    pairwise loop does."""
+    both sides drop) at bounds (3, 2), where powers match as identical
+    normal forms, and at (3, 1) on genus-2 pairs (w^2, w) and (w, c),
+    |w| <= 2, c a letter, where Dehn-reduced powers are bucketed by their
+    exponent sums.  Where no key agrees, the search asks no equal."""
+    class Counting(DehnBackend):
+        calls = 0
+
+        def equal(self, u, v):
+            self.calls += 1
+            return super().equal(u, v)
+
     dehn = DehnBackend(SURFACE_GENUS2)
     fp_words = ["".join(w) for n in (1, 2, 3) for w in itertools.product("xyY", repeat=n)]
     dehn_words = ["".join(w) for n in (1, 2) for w in itertools.product(dehn.letters, repeat=n)]
     cases = [(FP, a, b, 3, 2) for a in fp_words for b in fp_words]
     cases += [(dehn, w * 2, w, 3, 1) for w in dehn_words]
+    cases += [(dehn, w, c, 3, 1) for w in dehn_words for c in dehn.letters]
     found = {FP: 0, dehn: 0}
     for backend, a, b, n, bound in cases:
         if backend.is_identity(a) or backend.is_identity(b):
@@ -203,7 +212,11 @@ def test_commensurability_search_matches_candidate_loop():
         got = commensurability_search(backend, a, b, n, bound)
         assert got == commensurability_reference(backend, a, b, n, bound), (a, b)
         found[backend] += got[0] is not None
-    assert found[FP] > 400 and found[dehn] == 64, found
+    assert found[FP] > 400 and found[dehn] == 64 + 32, found
+    counting = Counting(SURFACE_GENUS2)
+    assert commensurability_search(counting, "ab", "ac", 8, 2) == \
+        (None, "not found within bounds (8,2)")
+    assert counting.calls == 0
 
 
 def test_commensurability_search_needs_nontrivial_powers():
@@ -325,10 +338,12 @@ def _acceptance4_pairs():
 
 
 def test_witness_search_matches_pairwise_reference():
-    """The lookup by normal form finds the pairwise loop's witness (or
-    none): on every commensurable acceptance-4 pair and every 16th other
-    one (the reference tries all 256 pairs (s, t) there), and on Z/2*Z/3
-    instances, elliptic ones too, whose powers repeat."""
+    """The search over pairs whose element keys agree finds the pairwise
+    loop's witness (or none): on every commensurable acceptance-4 pair and
+    every 16th other one (the reference tries all 256 pairs (s, t) there),
+    on Z/2*Z/3 instances, elliptic ones too, whose powers repeat, and on
+    genus-2 instances, where equal elements can have different
+    Dehn-reduced words."""
     found = 0
     for i, (a, b, commensurable) in enumerate(_acceptance4_pairs()):
         if not commensurable and i % 16:
@@ -345,5 +360,25 @@ def test_witness_search_matches_pairwise_reference():
         n = rng.randint(1, 6)
         witness = _witness_search(FP, a, b, x, y, n)
         assert witness == witness_search_reference(FP, a, b, x, y, n), (a, b, x, y, n)
+        found += witness is not None
+    assert found > 50
+    # abAB and dcDC, the two halves of the relator, are one element in two
+    # Dehn-reduced spellings.  b = p^-1 w^j p and a = w^k with x^-1 y = p
+    # are commensurable through x^-1 y; random a, b, x, y mostly are not.
+    dehn = DehnBackend(SURFACE_GENUS2)
+    rng = random.Random(59)
+    cases = [("abAB", "dcDC", "", "", 3), ("cabAB", "cdcDC", "a", "a", 3)]
+    for i in range(200):
+        w, p, x, a, b = ("".join(rng.choice(dehn.letters) for _ in range(rng.randint(lo, 4)))
+                         for lo in (1, 0, 0, 1, 1))
+        y = dehn.mul(x, p)
+        if i % 2:
+            a = w * rng.randint(1, 3)
+            b = dehn.mul(dehn.mul(dehn.inv(p), w * rng.randint(1, 3)), p)
+        cases.append((a, b, x, y, rng.randint(1, 4)))
+    found = 0
+    for a, b, x, y, n in cases:
+        witness = _witness_search(dehn, a, b, x, y, n)
+        assert witness == witness_search_reference(dehn, a, b, x, y, n), (a, b, x, y, n)
         found += witness is not None
     assert found > 50
