@@ -89,11 +89,15 @@ class _Backend:
     Arithmetic: normal_form, mul, inv, equal, is_identity.  Metric:
     dist(u, v) and geodesic_word(g) (exact, or BudgetExceeded), ball(radius)
     (check_radius(radius) raises where it would, without building it) and
-    length(g) -> (n, certificate).  Path states are stacks of letters
-    on every backend: parse_state, append_letter (free cancellation here;
-    the free product and Dehn backends override both), render (a join), and
-    state_dist, the length of the element a state stands for (the stack's
-    length here; Dehn overrides it).  length and dist are state_dist of g
+    length(g) -> (n, certificate).  On every backend the ball's words are
+    geodesics listed in BFS order, layer by layer, and they are
+    prefix-closed: each layer is the last one extended by a letter, so a
+    word w of layer d has its BFS parent w[:-1] in layer d - 1.  Path
+    states are stacks of letters on every backend: parse_state,
+    append_letter (free cancellation here; the free product and Dehn
+    backends override both), render (a join), and state_dist, the length
+    of the element a state stands for (the stack's length here; Dehn
+    overrides it).  length and dist are state_dist of g
     and of u^-1 v, with "lower_bound(bound - 1)" where it raises; the free
     and free product backends override dist by a prefix strip of their
     normal forms.  On every backend a state is empty iff it stands for the

@@ -293,6 +293,7 @@ def cmd_theorem(args):
 def cmd_threshold(args):
     backend = make_backend(args.backend)
     if args.sweep:
+        harness.require_overlap_parameter(args.r)  # the sweep's largest r
         rows = ["r,threshold"]
         results = {}
         for r in range(args.r + 1):

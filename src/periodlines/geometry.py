@@ -340,30 +340,24 @@ def acylindricity_profile(backend, eps: int, radius: int):
     |f| <= eps and |g^-1 f g| <= eps; returns the smallest R >= 1 where that
     max stabilizes together with the stabilized count N.
 
-    Each conjugate is a copy of the state of g^-1 with the letters of f g
-    appended, and state_dist gives its length; a length beyond the budget
-    does not count.  Ball elements are words over the generators, so no
-    letter needs checking."""
+    Ball words are prefix-closed and come in BFS order, so a nontrivial g
+    is g' c with g' = g[:-1] one layer in and c a letter, and |g^-1 f g| =
+    |c^-1 (g'^-1 f g') c| >= |g'^-1 f g'| - 2.  Each pair (g, f) keeps a
+    certified floor on |g^-1 f g|: the length itself where state_dist gives
+    it, the bound of its BudgetExceeded where it raises, and the parent
+    pair's floor less 2 where the pair is skipped.  A pair whose parent
+    floor less 2 exceeds eps has a conjugate longer than eps, so it cannot
+    count: it is skipped, with no state and no lookup.  The pair f = e
+    counts without a lookup.  Any other pair copies the state of g^-1,
+    built once per g where some f needs it, appends the letters of f g, and
+    asks state_dist; a length beyond the budget does not count."""
+    if radius < 1:
+        raise GeometryError("need radius >= 1")
+    if eps < 0:
+        raise GeometryError("need eps >= 0")
     if eps > radius:
         raise GeometryError("need eps <= radius")
-    ball = backend.ball(radius)
-    small = [f for f, d in ball.items() if d <= eps]
-    counts = {}
-    for g, d in ball.items():
-        if d < 1:
-            continue
-        ginv = backend.parse_state(inverse_word(g))
-        c = 0
-        for f in small:
-            state = list(ginv)
-            for letter in f + g:
-                backend.append_letter(state, letter)
-            try:
-                if backend.state_dist(state) <= eps:
-                    c += 1
-            except BudgetExceeded:
-                pass
-        counts[g] = (d, c)
+    counts = _acylindricity_counts(backend, eps, backend.ball(radius))
     max_at = {}
     for r_thr in range(1, radius + 1):
         vals = [c for (d, c) in counts.values() if d >= r_thr]
@@ -375,6 +369,46 @@ def acylindricity_profile(backend, eps: int, radius: int):
             r_est = r_thr
             break
     return r_est, n_est, f"observed_on_ball({radius})"
+
+
+def _acylindricity_counts(backend, eps: int, ball: dict[str, int]) -> dict[str, tuple[int, int]]:
+    """{g: (|g|, number of f with |f| <= eps and |g^-1 f g| <= eps)} over
+    the nontrivial elements g of a ball, for eps >= 0, by the floor rule of
+    acylindricity_profile.  Floors are kept for one layer only.  Ball
+    elements are words over the generators, so no letter needs checking."""
+    small = [f for f, d in ball.items() if d <= eps]
+    layer, floors, next_floors = 1, {"": [ball[f] for f in small]}, {}
+    counts = {}
+    for g, d in ball.items():
+        if d < 1:
+            continue
+        if d > layer:
+            layer, floors, next_floors = d, next_floors, {}
+        ginv, own, c = None, [], 0
+        for f, floor in zip(small, floors[g[:-1]]):
+            floor -= 2
+            if floor > eps:
+                pass  # the conjugate is longer than eps
+            elif not f:
+                floor = 0
+                c += 1
+            else:
+                if ginv is None:
+                    ginv = backend.parse_state(inverse_word(g))
+                state = list(ginv)
+                for letter in f + g:
+                    backend.append_letter(state, letter)
+                try:
+                    floor = backend.state_dist(state)
+                except BudgetExceeded as exc:
+                    floor = exc.bound
+                else:
+                    if floor <= eps:
+                        c += 1
+            own.append(floor)
+        next_floors[g] = own
+        counts[g] = (d, c)
+    return counts
 
 
 def _left_mul(backend, c: str, state):

@@ -41,6 +41,13 @@ class TheoremInstance:
     max_exponent: int = 8
 
 
+def require_overlap_parameter(r: int) -> None:
+    """Refuse a negative overlap parameter r: no point lies in a negative
+    neighborhood of a path, so the statements take r >= 0."""
+    if r < 0:
+        raise HypothesisError(f"need r >= 0, got {r}")
+
+
 def _require_loxodromic_shortest(backend, g: str, name: str) -> None:
     # one conjugacy core decides both hypotheses; without one, g is not
     # known to be loxodromic.  Letters are checked first, since a backend
@@ -58,6 +65,7 @@ def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
     """Parallel b-periodic lines: if finite window subpaths of L(x_p, b) and
     L(x_q, b) have both endpoint pairs within r, search for n != 0 such that
     the phase difference element centralizes b^n."""
+    require_overlap_parameter(r)
     _require_loxodromic_shortest(backend, b, "b")
     details = {"window": window, "r": r}
     if profile is not None:
@@ -178,6 +186,7 @@ def weak_theorem_check(inst: TheoremInstance, profile=None,
                        min_periods: int | None = None) -> HarnessResult:
     """Overlap hypothesis at parameter r with enough a-periods implies a
     commensurability witness (x^-1 y) b^s (y^-1 x) = a^t."""
+    require_overlap_parameter(inst.r)
     _require_theorem_hypotheses(inst)
     if min_periods is None:
         if profile is None:
@@ -193,6 +202,7 @@ def main_theorem_check(inst: TheoremInstance, profile=None,
     parameter on the trimmed phases [k, k + trimmed].  With sharp_free (free
     backend, r = 0) the sharp two-period threshold is used instead of the
     pipeline."""
+    require_overlap_parameter(inst.r)
     backend = inst.backend
     if sharp_free:
         if backend.sharp_periods is None:
@@ -256,6 +266,7 @@ def empirical_period_threshold(backend, a: str, b: str, x: str, y: str, r: int,
     r-neighborhood of the L(y, b) window AND the witness search succeeds;
     None when nothing fires.  The first period of a contained subpath is
     contained too, so m is 1 iff one of those one-period pieces is."""
+    require_overlap_parameter(r)
     _require_loxodromic_shortest(backend, a, "a")
     _require_loxodromic_shortest(backend, b, "b")
     if max_periods < 1:

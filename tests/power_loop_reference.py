@@ -1,7 +1,9 @@
 """The power and conjugate loops as products of whole words, one mul (or
 length) per step: the references that geometry.stable_norm_estimate,
 geometry.acylindricity_profile and harness._powers, which append letters to
-one kept path state, are tested against.  classify_element_reference keeps
+one kept path state, are tested against.  acylindricity_profile_reference
+asks the length of every pair (g, f) and returns its per-g counts
+{g: (|g|, count)} after (R, N, certificate).  classify_element_reference keeps
 the power loop that geometry.classify_element ran where a backend has no
 conjugacy core, so the tests can show that it finds no trivial power on
 the Dehn backends, where classification now says undecided."""
@@ -58,7 +60,7 @@ def acylindricity_profile_reference(backend, eps, radius):
         max_at[r_thr] = max(vals) if vals else 0
     n_est = max_at[radius]
     r_est = next(r for r in range(1, radius + 1) if max_at[r] == n_est)
-    return r_est, n_est, f"observed_on_ball({radius})"
+    return r_est, n_est, f"observed_on_ball({radius})", counts
 
 
 def powers_reference(backend, g, n):

@@ -317,6 +317,23 @@ ERROR_CASES = {
                               1, "need max_periods >= 1"),
     "classify-n-max": (["classify", "--backend", "free:2", "--g", "ab", "--n-max", "3"], 64,
                        "unrecognized arguments: --n-max 3"),
+    "acyl-radius-0": (["acyl-profile", "--backend", "zmzn:2,3", "--eps", "0", "--radius", "0"],
+                      1, "need radius >= 1"),
+    "acyl-negative-eps": (["acyl-profile", "--backend", "zmzn:2,3", "--eps", "-1", "--radius", "3"],
+                          1, "need eps >= 0"),
+    "threshold-negative-r": (["threshold", "--a", "ab", "--b", "ab", "--r", "-2"], 1,
+                             "need r >= 0, got -2"),
+    "threshold-sweep-negative-r": (["threshold", "--a", "ab", "--b", "ab", "--r", "-2", "--sweep"],
+                                   1, "need r >= 0, got -2"),
+    "lemma41-negative-r": (["lemma41", "--backend", "free:2", "--b", "ab", "--r", "-1"], 1,
+                           "need r >= 0, got -1"),
+    "theorem-negative-r": (["theorem", "--backend", "free:2", "--a", "ab", "--b", "ab", "--r", "-1",
+                            "--periods", "2"], 1, "need r >= 0, got -1"),
+    "theorem-sharp-negative-r": (["theorem", "--backend", "free:2", "--a", "ab", "--b", "ab",
+                                  "--r", "-1", "--sharp-free"], 1, "need r >= 0, got -1"),
+    "theorem-batch-negative-r": (["theorem", "--backend", "free:2", "--periods", "2",
+                                  "--batch", "{dir}/batch-negative-r.json"], 1,
+                                 "need r >= 0, got -1"),
 }
 
 
@@ -336,6 +353,7 @@ def test_error_exit_code(capsys, tmp_path, argv, code, message):
         "batch-word.json": [{"a": 1, "b": "ab"}],
         "batch-null.json": [{"a": "ab", "b": "ab", "x": None}],
         "batch-r.json": [{"a": "ab", "b": "ab", "r": "1"}],
+        "batch-negative-r.json": [{"a": "ab", "b": "ab", "r": -1}],
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))

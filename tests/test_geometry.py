@@ -480,6 +480,15 @@ def test_acylindricity_profile_eps_bound():
         acylindricity_profile(FREE, 3, 2)
 
 
+@pytest.mark.parametrize("eps, radius, message", [
+    (0, 0, "need radius >= 1"), (-1, 3, "need eps >= 0")])
+def test_acylindricity_profile_refuses_before_the_ball(eps, radius, message):
+    d = DehnBackend(SURFACE_GENUS2)
+    with pytest.raises(GeometryError, match=message):
+        acylindricity_profile(d, eps, radius)
+    assert d._layer_start == [0, 1]
+
+
 class _NoCoreFP(FreeProductBackend):
     """Z/2*Z/3 without its conjugacy core: a group with torsion whose
     elements classification leaves undecided."""
@@ -536,17 +545,55 @@ def test_power_loops_match_mul_reference(backend):
             call()
 
 
-@pytest.mark.parametrize("make, eps, radius", [
-    (lambda: FREE, 0, 2), (lambda: FREE, 1, 3), (lambda: FP, 1, 4), (lambda: FP, 2, 5),
-    (lambda: FP33, 2, 4), (lambda: FP22, 1, 3),
-    (lambda: DehnBackend(SURFACE_GENUS2), 1, 3),
+ACYL_CASES = {
+    "free-0-2": (lambda: FREE, 0, 2), "free-1-3": (lambda: FREE, 1, 3),
+    "free-2-5": (lambda: FREE, 2, 5),
+    "zmzn23-1-4": (lambda: FP, 1, 4), "zmzn23-2-5": (lambda: FP, 2, 5),
+    "zmzn23-3-10": (lambda: FP, 3, 10),
+    "zmzn33-2-4": (lambda: FP33, 2, 4), "zmzn22-1-3": (lambda: FP22, 1, 3),
+    "genus2-1-3": (lambda: DehnBackend(SURFACE_GENUS2), 1, 3),
+    "genus2-2-3": (lambda: DehnBackend(SURFACE_GENUS2), 2, 3),
     # budget 3: conjugates longer than the budget are not counted
-    (lambda: DehnBackend(SURFACE_GENUS2, max_radius=3), 2, 3),
-], ids=["free-0-2", "free-1-3", "zmzn23-1-4", "zmzn23-2-5", "zmzn33-2-4", "zmzn22-1-3",
-        "genus2-1-3", "genus2-budget3-2-3"])
+    "genus2-budget3-2-3": (lambda: DehnBackend(SURFACE_GENUS2, max_radius=3), 2, 3),
+    "genus3-1-3": (lambda: DehnBackend(TORSION_FREE_DEHN["genus3"]), 1, 3),
+    "aabaBBc-1-3": (lambda: DehnBackend(TORSION_FREE_DEHN["aabaBBc"]), 1, 3),
+}
+
+
+@pytest.mark.parametrize("make, eps, radius", ACYL_CASES.values(), ids=ACYL_CASES.keys())
 def test_acylindricity_profile_matches_mul_reference(make, eps, radius):
-    assert acylindricity_profile(make(), eps, radius) == \
-        acylindricity_profile_reference(make(), eps, radius)
+    """The estimator, which skips the pairs whose inherited floor exceeds
+    eps, gives the reference's per-g counts, so its (R, N, certificate)."""
+    r_est, n_est, cert, counts = acylindricity_profile_reference(make(), eps, radius)
+    assert acylindricity_profile(make(), eps, radius) == (r_est, n_est, cert)
+    backend = make()
+    assert geometry._acylindricity_counts(backend, eps, backend.ball(radius)) == counts
+
+
+@pytest.mark.parametrize("make, eps, radius", ACYL_CASES.values(), ids=ACYL_CASES.keys())
+def test_ball_words_are_prefix_closed(make, eps, radius):
+    """Each nontrivial ball word g has its BFS parent g[:-1] in the ball one
+    layer in, and the layers come in order: the floor rule of
+    acylindricity_profile reads the parent's floors."""
+    ball = make().ball(radius)
+    assert list(ball.values()) == sorted(ball.values())
+    assert all(ball.get(g[:-1]) == d - 1 for g, d in ball.items() if g)
+
+
+def test_genus2_acylindricity_profile_skips_pairs_by_floor():
+    """On genus 2 at (eps, radius) = (1, 3) the reference asks the length of
+    all 456 * 9 pairs; inherited floors leave 1,296 lookups."""
+    d = DehnBackend(SURFACE_GENUS2)
+    calls = []
+    state_dist = d.state_dist
+
+    def counting_state_dist(state):
+        calls.append(state)
+        return state_dist(state)
+
+    d.state_dist = counting_state_dist
+    assert acylindricity_profile(d, 1, 3) == (1, 3, "observed_on_ball(3)")
+    assert len(calls) <= 1300, len(calls)
 
 
 def _brute_contains(p, q, r, backend):
