@@ -427,19 +427,20 @@ def longest_pieces(p: Presentation) -> list[int]:
 
     A piece is a common prefix of two distinct occurrences in the symmetrized
     closure (occurrences in cyclic words correspond to prefixes of cyclic
-    shifts), and it lies in the relators of both.  Two distinct occurrences
-    carrying the identical word mean a relator overlaps itself completely, a
-    piece of full length.
+    shifts), and it lies in the relators of both.  An occurrence's longest
+    common prefix with any other is reached at a neighbour in sorted order,
+    so one sort replaces the loop over all pairs.  Identical occurrences,
+    a relator overlapping itself completely, sort next to each other and
+    share a piece of full length.
     """
     occ = p.symmetrized_occurrences()
     owner = [i for i, rel in enumerate(p.relators) for _ in range(2 * len(rel))]
+    order = sorted(range(len(occ)), key=occ.__getitem__)
     longest = [0] * len(p.relators)
-    for i in range(len(occ)):
-        for j in range(i + 1, len(occ)):
-            u, v = occ[i], occ[j]
-            piece = len(u) if u == v else _common_prefix_len(u, v)
-            for r in (owner[i], owner[j]):
-                longest[r] = max(longest[r], piece)
+    for i, j in zip(order, order[1:]):
+        piece = _common_prefix_len(occ[i], occ[j])
+        for r in (owner[i], owner[j]):
+            longest[r] = max(longest[r], piece)
     return longest
 
 

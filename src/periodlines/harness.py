@@ -48,6 +48,14 @@ def require_overlap_parameter(r: int) -> None:
         raise HypothesisError(f"need r >= 0, got {r}")
 
 
+def require_exponent_bound(max_exponent: int) -> None:
+    """Refuse an exponent bound below 1: the searches look for nonzero
+    exponents up to it, so a smaller bound searches nothing and its empty
+    answer would read as a measurement."""
+    if max_exponent < 1:
+        raise HypothesisError(f"need max_exponent >= 1, got {max_exponent}")
+
+
 def _require_loxodromic_shortest(backend, g: str, name: str) -> None:
     # one conjugacy core decides both hypotheses; without one, g is not
     # known to be loxodromic.  Letters are checked first, since a backend
@@ -66,6 +74,7 @@ def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
     L(x_q, b) have both endpoint pairs within r, search for n != 0 such that
     the phase difference element centralizes b^n."""
     require_overlap_parameter(r)
+    require_exponent_bound(max_exponent)
     _require_loxodromic_shortest(backend, b, "b")
     details = {"window": window, "r": r}
     if profile is not None:
@@ -113,8 +122,10 @@ def _powers(backend, g: str, n: int) -> dict[int, str]:
 
 
 def _witness_search(backend, a: str, b: str, x: str, y: str, max_exponent: int):
-    """{s, t} with (x^-1 y) b^s (y^-1 x) = a^t by _conjugate_powers, or None."""
-    u = backend.mul(backend.inv(backend.normal_form(x)), backend.normal_form(y))
+    """{s, t} with (x^-1 y) b^s (y^-1 x) = a^t by _conjugate_powers, or None.
+    y is normalized before x, so a bad letter in both is named from y."""
+    y = backend.normal_form(y)
+    u = backend.mul(backend.inv(backend.normal_form(x)), y)
     return _conjugate_powers(backend, _powers(backend, a, max_exponent),
                              _powers(backend, b, max_exponent), u)
 
@@ -187,6 +198,7 @@ def weak_theorem_check(inst: TheoremInstance, profile=None,
     """Overlap hypothesis at parameter r with enough a-periods implies a
     commensurability witness (x^-1 y) b^s (y^-1 x) = a^t."""
     require_overlap_parameter(inst.r)
+    require_exponent_bound(inst.max_exponent)
     _require_theorem_hypotheses(inst)
     if min_periods is None:
         if profile is None:
@@ -203,6 +215,7 @@ def main_theorem_check(inst: TheoremInstance, profile=None,
     backend, r = 0) the sharp two-period threshold is used instead of the
     pipeline."""
     require_overlap_parameter(inst.r)
+    require_exponent_bound(inst.max_exponent)
     backend = inst.backend
     if sharp_free:
         if backend.sharp_periods is None:
@@ -239,6 +252,7 @@ def commensurability_search(backend, a: str, b: str, max_exponent: int = 8,
     conjugator ball layer by layer in BFS order, so a hit in layer d builds
     no layer beyond d; a bound past the backend's budget is refused before
     any layer is searched."""
+    require_exponent_bound(max_exponent)
     if backend.is_identity(a) or backend.is_identity(b):
         raise HypothesisError("trivial element excluded")
     exact = backend.commensurate(a, b)
@@ -265,18 +279,22 @@ def empirical_period_threshold(backend, a: str, b: str, x: str, y: str, r: int,
     starting at a phase in [-max_periods, max_periods] lies in the
     r-neighborhood of the L(y, b) window AND the witness search succeeds;
     None when nothing fires.  The first period of a contained subpath is
-    contained too, so m is 1 iff one of those one-period pieces is."""
+    contained too, so m is 1 iff one of those one-period pieces is.
+
+    The answer is a conjunction, so the order of its two conjuncts cannot
+    change it: the witness search, which needs no budget, runs first, and
+    only where it finds a witness are the two lines built and swept."""
     require_overlap_parameter(r)
     _require_loxodromic_shortest(backend, a, "a")
     _require_loxodromic_shortest(backend, b, "b")
     if max_periods < 1:
         raise GeometryError("need max_periods >= 1")
+    require_exponent_bound(max_exponent)
+    if _witness_search(backend, a, b, x, y, max_exponent) is None:
+        return None
     q = _b_window(backend, a, b, y, r, -max_periods, 2 * max_periods)
     p = periodic_line(backend, x, a, -max_periods, max_periods + 1)
     vertex_ok = neighborhood_profile(p, q, r, backend)
     la = backend.length(a)[0]
-    if not any(all(vertex_ok[k * la:(k + 1) * la + 1]) for k in range(2 * max_periods + 1)):
-        return None
-    if _witness_search(backend, a, b, x, y, max_exponent) is None:
-        return None
-    return 1
+    contained = any(all(vertex_ok[k * la:(k + 1) * la + 1]) for k in range(2 * max_periods + 1))
+    return 1 if contained else None

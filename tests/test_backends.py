@@ -23,6 +23,7 @@ from periodlines.backends import (
 from periodlines.freewords import free_reduce, inverse_word, is_cyclically_reduced
 from periodlines.words import primitive_root
 from dehn_scan_reference import ScanDehn, ScanLengths
+from pieces_reference import longest_pieces_reference
 from zmzn_reference import zmzn_normal_form
 
 
@@ -231,6 +232,25 @@ def test_small_cancellation_refuses_every_proper_power():
                 assert not verify_small_cancellation(Presentation(gens, relators), 6), relators
                 checked += 1
     assert checked == 1200
+
+
+def test_longest_pieces_matches_pairwise_reference():
+    """The sorted-neighbour pieces equal the loop over all pairs on fixed
+    presentations, proper powers and self-overlaps among them, and on
+    seeded random cyclically reduced ones of 1 to 3 relators."""
+    fixed = [SURFACE_GENUS2, Presentation(("a", "b"), ("abab",)),
+             Presentation(("a",), ("aaaaaaa",)),
+             Presentation(("a", "b", "c"), ("aabaBBc", "bccbCaCA"))]
+    assert [longest_pieces(p) for p in fixed] == [[1], [4], [7], [1, 1]]
+    rng = random.Random(5)
+    cases = list(fixed)
+    for _ in range(3000):
+        gens = tuple("abc"[:rng.randint(1, 3)])
+        letters = "".join(g + g.upper() for g in gens)
+        cases.append(Presentation(gens, tuple(_cyclically_reduced_word(rng, letters, 10)
+                                              for _ in range(rng.randint(1, 3)))))
+    for p in cases:
+        assert longest_pieces(p) == longest_pieces_reference(p), p
 
 
 class TestDehn:

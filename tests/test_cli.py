@@ -334,6 +334,21 @@ ERROR_CASES = {
     "theorem-batch-negative-r": (["theorem", "--backend", "free:2", "--periods", "2",
                                   "--batch", "{dir}/batch-negative-r.json"], 1,
                                  "need r >= 0, got -1"),
+    "threshold-bad-x-and-y": (["threshold", "--a", "ab", "--b", "ab", "--x", "q", "--y", "z"], 1,
+                              "letter 'z' not in generating set"),
+    "threshold-max-exponent-0": (["threshold", "--a", "ab", "--b", "ab", "--max-exponent", "0"],
+                                 1, "need max_exponent >= 1, got 0"),
+    "theorem-sharp-max-exponent": (["theorem", "--backend", "free:2", "--a", "ab", "--b", "ab",
+                                    "--sharp-free", "--max-exponent", "-2"], 1,
+                                   "need max_exponent >= 1, got -2"),
+    "theorem-batch-max-exponent": (["theorem", "--backend", "free:2", "--periods", "2",
+                                    "--batch", "{dir}/batch-ok.json", "--max-exponent", "0"], 1,
+                                   "need max_exponent >= 1, got 0"),
+    "lemma41-max-exponent-0": (["lemma41", "--backend", "free:2", "--b", "ab", "--x-q", "ab",
+                                "--max-exponent", "0"], 1, "need max_exponent >= 1, got 0"),
+    "commensurate-max-exponent-0": (["commensurate", "--backend", "zmzn:2,3", "--a", "xy",
+                                     "--b", "xyxy", "--max-exponent", "0"], 1,
+                                    "need max_exponent >= 1, got 0"),
 }
 
 
@@ -354,6 +369,7 @@ def test_error_exit_code(capsys, tmp_path, argv, code, message):
         "batch-null.json": [{"a": "ab", "b": "ab", "x": None}],
         "batch-r.json": [{"a": "ab", "b": "ab", "r": "1"}],
         "batch-negative-r.json": [{"a": "ab", "b": "ab", "r": -1}],
+        "batch-ok.json": [{"a": "ab", "b": "ab"}],
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))

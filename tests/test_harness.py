@@ -13,6 +13,7 @@ from periodlines.backends import (
     FreeProductBackend,
 )
 from periodlines.constants import ConstantsProfile
+from periodlines import harness
 from periodlines.geometry import GeometryError, shortest_conjugate
 from periodlines.harness import (
     HypothesisError,
@@ -314,6 +315,50 @@ def test_empirical_threshold_matches_loop_reference():
             (a, b, x, y, r, n)
         answers.append(got if got in (1, None) else got[0])
     assert {1, None, "HypothesisError"} <= set(answers)
+
+
+def _count_line_work(monkeypatch):
+    """Counters on the harness's periodic_line and neighborhood_profile."""
+    calls = {"periodic_line": 0, "neighborhood_profile": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(harness, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("backend,a,b,r", [(FREE, "aab", "ab", r) for r in (0, 1, 2)]
+                         + [(FP, "xyxY", "xy", r) for r in (0, 1, 2)],
+                         ids=[f"{name}-r{r}" for name in ("free", "zmzn") for r in (0, 1, 2)])
+def test_empirical_threshold_without_witness_builds_no_line(monkeypatch, backend, a, b, r):
+    # the witness search decides first; with no witness, no line is built
+    calls = _count_line_work(monkeypatch)
+    assert empirical_period_threshold(backend, a, b, "", "", r) is None
+    assert calls == {"periodic_line": 0, "neighborhood_profile": 0}
+
+
+def test_empirical_threshold_with_witness_sweeps_both_lines(monkeypatch):
+    calls = _count_line_work(monkeypatch)
+    assert empirical_period_threshold(FREE, "ab", "ab", "", "", 1) == 1
+    assert calls == {"periodic_line": 2, "neighborhood_profile": 1}
+
+
+def test_every_statement_refuses_a_non_positive_exponent_bound(monkeypatch):
+    calls = _count_line_work(monkeypatch)
+    inst = TheoremInstance(FREE, "ab", "ab", "", "", 0, max_exponent=0)
+    statements = [
+        lambda: empirical_period_threshold(FREE, "ab", "ab", "", "", 0, max_exponent=0),
+        lambda: lemma41_check(FREE, "ab", "", "ab", window=6, r=0, max_exponent=-1),
+        lambda: weak_theorem_check(inst, min_periods=2),
+        lambda: main_theorem_check(inst, sharp_free=True),
+        lambda: commensurability_search(FREE, "ab", "ab", max_exponent=0),
+        lambda: commensurability_search(FP, "xy", "xyxy", max_exponent=0),
+    ]
+    for statement in statements:
+        with pytest.raises(HypothesisError, match=r"^need max_exponent >= 1, got -?[01]$"):
+            statement()
+    assert calls == {"periodic_line": 0, "neighborhood_profile": 0}
 
 
 def test_empirical_threshold_needs_a_period():
