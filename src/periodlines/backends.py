@@ -8,7 +8,8 @@ order a < A < b < B < ...
 
 All three backends implement the protocol of _Backend, which holds the
 code they share and every backend-specific decision the geometry and the
-harness need.  dist is exact or raises BudgetExceeded with a certified
+harness need.  Each primitive has one path: on every backend dist(u, v) is
+state_dist(parse_state(u^-1 v)), exact or BudgetExceeded with a certified
 lower bound, and a length certificate other than "exact" means |g| > n.
 
 Every backend also keeps mutable path states, and on every backend a
@@ -36,11 +37,12 @@ Sec. 3-4): every cyclically reduced trivial word shorter than L2 is a
 single symmetrized relator.  So a Dehn-reduced word u equals an element of
 a layer d with |u| + d < L2 only if the element has u's length and differs
 from u in one half-relator, which one index lookup per occurrence of a
-half in u finds.  Only layers farther out are scanned, comparing u with
-each member of its bucket: the elements of the layer on which every
-homomorphism to Z (a functional on exponent sums that vanishes on each
-relator) takes u's value.  A lookup grows the ball only where neither
-that bound nor a length floor from those homomorphisms decides it.
+half in u finds.  Only layers farther out are scanned: Dehn's algorithm,
+exact under C'(1/6), compares u with each member of its bucket, the
+elements of the layer on which every homomorphism to Z (a functional on
+exponent sums that vanishes on each relator) takes u's value.  A lookup
+grows the ball only where neither that bound nor a length floor from
+those homomorphisms decides it.
 """
 
 from dataclasses import dataclass
@@ -97,15 +99,16 @@ class _Backend:
     append_letter (free cancellation here; the free product and Dehn
     backends override both), render (a join), and state_dist, the length
     of the element a state stands for (the stack's length here; Dehn
-    overrides it).  length and dist are state_dist of g
-    and of u^-1 v, with "lower_bound(bound - 1)" where it raises; the free
-    and free product backends override dist by a prefix strip of their
-    normal forms.  On every backend a state is empty iff it stands for the
-    identity: here and on the free product a state holds the normal form,
-    and on Dehn it is Dehn-reduced, and by Dehn's lemma a nonempty
-    Dehn-reduced word is nontrivial.  append_letter need not check its
-    letter, so a caller that appends the letters of a word checks the word
-    once first (check_word).
+    overrides it).  On every backend length and dist are state_dist of g
+    and of u^-1 v, with "lower_bound(bound - 1)" where it raises, so
+    lengths and distances are defined in one place.  dist checks the
+    letters of u^-1 v, so a bad letter of u is named as it reads in u^-1;
+    its callers pass words already checked.  On every backend a state is
+    empty iff it stands for the identity: here and on the free product a
+    state holds the normal form, and on Dehn it is Dehn-reduced, and by
+    Dehn's lemma a nonempty Dehn-reduced word is nontrivial.  append_letter
+    need not check its letter, so a caller that appends the letters of a
+    word checks the word once first (check_word).
 
     Capabilities:
     - conjugacy_core(g): (conj, core) exactly, or None where the backend
@@ -254,12 +257,6 @@ class FreeBackend(_Backend):
     def normal_form(self, w: str) -> str:
         return self._free_reduce(w)
 
-    def dist(self, u: str, v: str) -> int:
-        # free reduced words live in a tree: strip the common prefix
-        u, v = self.normal_form(u), self.normal_form(v)
-        k = _common_prefix_len(u, v)
-        return (len(u) - k) + (len(v) - k)
-
     def commensurate(self, a: str, b: str):
         """Exact commensurability: ({g, s, t} with a^s = g^-1 b^t g, or
         None, certificate)."""
@@ -300,8 +297,7 @@ class FreeProductBackend(_Backend):
         if len(orders) != 2 or any(o not in (2, 3) for o in orders):
             raise BackendError("orders must be a pair drawn from {2, 3}")
         self.orders = tuple(orders)
-        letters = []
-        self._aliases = ""
+        letters, aliases = [], ""
         # canonical letter of each input letter, and the product of each
         # same-factor pair of canonical letters ("" where they cancel)
         self._canonical: dict[str, str] = {}
@@ -315,10 +311,10 @@ class FreeProductBackend(_Backend):
                                       up + base: "", up + up: base})
             else:
                 letters.append(base)
-                self._aliases += up
+                aliases += up
                 self._canonical.update({base: base, up: base})
                 self._product[base + base] = ""
-        super().__init__(letters, self._aliases)
+        super().__init__(letters, aliases)
 
     def parse_state(self, w: str) -> list[str]:
         state: list[str] = []
@@ -340,24 +336,7 @@ class FreeProductBackend(_Backend):
             state.pop()
 
     def normal_form(self, w: str) -> str:
-        # canonical words have no adjacent same-factor letters and no
-        # uppercase alias of an order-2 generator
-        if self._letterset.issuperset(w) and \
-                not any(c in w for c in self._aliases) and \
-                not any(pair in w for pair in self._product):
-            return w
         return "".join(self.parse_state(w))
-
-    def dist(self, u: str, v: str) -> int:
-        # strip the common syllable prefix of the canonical forms; at the
-        # split the two first syllables merge (without cancelling) exactly
-        # when they lie in the same factor
-        u, v = self.normal_form(u), self.normal_form(v)
-        k = _common_prefix_len(u, v)
-        nu, nv = len(u) - k, len(v) - k
-        if nu and nv and u[k].lower() == v[k].lower():
-            return nu + nv - 1
-        return nu + nv
 
 
 @dataclass(frozen=True)
@@ -532,9 +511,10 @@ class DehnBackend(_Backend):
     |u| + d < L2, u can equal only a word of its own length that differs
     from it in one half-relator, which one index lookup per occurrence
     decides (see _member).  Only layers with |u| + d >= L2 are scanned,
-    bucket by bucket (see _same_element).  On genus 2, L2 = 14: growing
-    the ball to radius 6 never scans, and at the default budget neither
-    does a lookup of a word whose Dehn reduction is at most 9 letters long.
+    bucket by bucket, each member compared with u by Dehn's algorithm (see
+    _scan).  On genus 2, L2 = 14: growing the ball to radius 6 never scans,
+    and at the default budget neither does a lookup of a word whose Dehn
+    reduction is at most 9 letters long.
 
     normal_form, geodesic_word and state_dist (so length and dist) look a
     Dehn-reduced u up in one place, _canonical, which grows the ball only
@@ -560,8 +540,6 @@ class DehnBackend(_Backend):
         self.max_radius = max_radius
         super().__init__([c for g in presentation.generators for c in (g, g.upper())])
         self._ranked_letters = sorted(self.letters, key=letter_rank)
-        self._symmetrized = frozenset(presentation.symmetrized())
-        self._n_min = min(len(rel) for rel in presentation.relators)
         self._l2 = one_cell_bound(presentation)
         # Replacement rules: a subword covering more than half of a
         # symmetrized relator rho = s t is replaced by the shorter t^-1.  Only
@@ -668,33 +646,6 @@ class DehnBackend(_Backend):
     def mul(self, u: str, v: str) -> str:
         return self.dehn_reduce(u + v)
 
-    def _same_element(self, u: str, v: str) -> bool:
-        """Whether freely reduced words u and v are equal in the group.
-
-        With their common prefix and suffix stripped, u = p s q and
-        v = p t q, and u = v exactly when s t^-1 is trivial; s t^-1 is
-        freely reduced.  By Greendlinger's lemma (Lyndon-Schupp,
-        Combinatorial Group Theory, Ch. V, Sec. 4) a nonempty cyclically
-        reduced word that is trivial under C'(1/6) is either a symmetrized
-        relator or longer than the shortest relator.  So |s| + |t| below
-        that length means distinct elements, and equal to it means equal
-        exactly when s t^-1 is symmetrized (a word that is not cyclically
-        reduced is nontrivial here: it cyclically reduces to a shorter,
-        nonempty word).  Only longer pairs need Dehn's algorithm.
-        """
-        p = _common_prefix_len(u, v)
-        s, t = u[p:], v[p:]
-        q = 0
-        while q < len(s) and q < len(t) and s[-1 - q] == t[-1 - q]:
-            q += 1
-        s, t = s[:len(s) - q], t[:len(t) - q]
-        n = len(s) + len(t)
-        if n < self._n_min:
-            return n == 0
-        if n == self._n_min:
-            return s + inverse_word(t) in self._symmetrized
-        return self.is_identity(s + inverse_word(t))
-
     def _rewrites(self, u: str):
         """The one-half-relator rewrites of u: u with one occurrence of a
         half of an even symmetrized relator replaced by the other half."""
@@ -720,8 +671,9 @@ class DehnBackend(_Backend):
         with |u| + d < L2, only layer |u| can hold u's element, and
         replacing one half-relator of u by the other half finds it, one
         index lookup per occurrence.  Only layers from L2 - |u| on are
-        scanned.  At most one element equals u, so the order of the checks
-        does not change the answer.
+        scanned, each bucket member compared with u by equal (_scan).  At
+        most one element equals u, so the order of the checks does not
+        change the answer.
 
         Lemma: if 2 |u| <= L2, u is a geodesic.  Proof: a geodesic v for
         u's element is no longer than u; were it shorter, |u| + |v| <=
@@ -742,8 +694,8 @@ class DehnBackend(_Backend):
 
     def _scan(self, u: str, layers: range) -> int | None:
         """Index of the element of the given built layers equal to the
-        freely reduced word u, or None, comparing u with each member of
-        its bucket in each layer (see _same_element)."""
+        word u, or None, comparing u with each member of its bucket in each
+        layer by equal, which Dehn's algorithm decides exactly."""
         for idx in range(self._bucketed, len(self._canon)):
             w = self._canon[idx]
             self._buckets.setdefault((self.element_key(w), len(w)), []).append(idx)
@@ -751,7 +703,7 @@ class DehnBackend(_Backend):
         key = self.element_key(u)
         for layer in layers:
             for idx in self._buckets.get((key, layer), ()):
-                if self._same_element(u, self._canon[idx]):
+                if self.equal(u, self._canon[idx]):
                     return idx
         return None
 

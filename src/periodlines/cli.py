@@ -215,6 +215,8 @@ def cmd_constants(args):
 def cmd_fourgon_selfcheck(args):
     import random
 
+    if args.count < 1:
+        raise ValueError(f"need count >= 1, got {args.count}")
     backend = make_backend(args.backend)
     rng = random.Random(args.seed)
     from .testutil import random_composable_pair  # local import: test helper

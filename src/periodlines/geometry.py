@@ -239,7 +239,10 @@ def estimate_delta(backend, radius: int, max_triangles: int = 20000, seed: int =
     certificate and BudgetExceeded message, is that of a per-triangle
     slimness loop.  Sampled triangles are drawn one at a time, in the same
     order from the same random.Random(seed), so a call that raises early
-    draws no more of them than it checks."""
+    draws no more of them than it checks.  max_triangles below 1 is refused
+    before the ball is built: a sample of no triangle would read as 0."""
+    if max_triangles < 1:
+        raise GeometryError(f"need max_triangles >= 1, got {max_triangles}")
     elements = list(backend.ball(radius))
     dist = _cached_dist(backend)
     total = len(elements) * (len(elements) - 1) * (len(elements) - 2) // 6

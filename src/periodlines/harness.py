@@ -72,9 +72,12 @@ def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
                   profile=None, max_exponent: int = 8) -> HarnessResult:
     """Parallel b-periodic lines: if finite window subpaths of L(x_p, b) and
     L(x_q, b) have both endpoint pairs within r, search for n != 0 such that
-    the phase difference element centralizes b^n."""
+    the phase difference element centralizes b^n.  A window below 1 is
+    refused before b is classified or a line is built."""
     require_overlap_parameter(r)
     require_exponent_bound(max_exponent)
+    if window < 1:
+        raise HypothesisError(f"need window >= 1, got {window}")
     _require_loxodromic_shortest(backend, b, "b")
     details = {"window": window, "r": r}
     if profile is not None:
@@ -196,9 +199,13 @@ def _overlap_witness(inst: TheoremInstance, r: int, first_phase: int,
 def weak_theorem_check(inst: TheoremInstance, profile=None,
                        min_periods: int | None = None) -> HarnessResult:
     """Overlap hypothesis at parameter r with enough a-periods implies a
-    commensurability witness (x^-1 y) b^s (y^-1 x) = a^t."""
+    commensurability witness (x^-1 y) b^s (y^-1 x) = a^t.  An explicit
+    min_periods below 1 is refused rather than lifted to the 2 periods the
+    window always spans, which would answer it as a measurement."""
     require_overlap_parameter(inst.r)
     require_exponent_bound(inst.max_exponent)
+    if min_periods is not None and min_periods < 1:
+        raise HypothesisError(f"need min_periods >= 1, got {min_periods}")
     _require_theorem_hypotheses(inst)
     if min_periods is None:
         if profile is None:

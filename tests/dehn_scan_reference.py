@@ -13,8 +13,8 @@ item for item, in order, exiting 1 on any difference:
 - <a, b, c | aabaBBc>, where L2 = 12, so the scan decides layer 6 (two
   heptagons sharing a letter make duplicates of length 6 there).
 
-They take about 100 s and 13 s (2 cores, Python 3.11), nearly all of it in
-the reference.
+They take about 175 s and 26 s (2 cores, Python 3.11, with a second run
+beside them), nearly all of the first in the scan reference.
 """
 
 import sys
@@ -47,9 +47,8 @@ class ScanLengths(DehnBackend):
 
 class ScanDehn(ScanLengths):
     """Every layer up to the radius is scanned: u is compared with each
-    member of its bucket by _same_element, by Greendlinger's lemma up to
-    the shortest relator length and by Dehn reduction beyond.  Lengths are
-    scanned too (ScanLengths)."""
+    member of its bucket by Dehn's algorithm (DehnBackend.equal).  Lengths
+    are scanned too (ScanLengths)."""
 
     def _member(self, u, radius):
         idx = self._index.get(u)

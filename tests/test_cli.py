@@ -349,6 +349,20 @@ ERROR_CASES = {
     "commensurate-max-exponent-0": (["commensurate", "--backend", "zmzn:2,3", "--a", "xy",
                                      "--b", "xyxy", "--max-exponent", "0"], 1,
                                     "need max_exponent >= 1, got 0"),
+    "theorem-periods-negative": (["theorem", "--backend", "free:2", "--a", "ab", "--b", "ab",
+                                  "--periods", "-5"], 1, "need min_periods >= 1, got -5"),
+    "theorem-periods-0": (["theorem", "--backend", "free:2", "--a", "ab", "--b", "ba",
+                           "--periods", "0"], 1, "need min_periods >= 1, got 0"),
+    "lemma41-window-0": (["lemma41", "--backend", "free:2", "--b", "ab", "--x-q", "ab",
+                          "--window", "0"], 1, "need window >= 1, got 0"),
+    "lemma41-window-before-b": (["lemma41", "--backend", "zmzn:2,3", "--b", "x",
+                                 "--window", "-1"], 1, "need window >= 1, got -1"),
+    "delta-sample-negative": (["delta", "--backend", "free:2", "--radius", "1", "--sample", "-5"],
+                              1, "need max_triangles >= 1, got -5"),
+    "delta-sample-0": (["delta", "--backend", "free:2", "--radius", "2", "--sample", "0"], 1,
+                       "need max_triangles >= 1, got 0"),
+    "fourgon-count-negative": (["fourgon-selfcheck", "--backend", "dehn:{dir}/missing.txt",
+                                "--count", "-4"], 1, "need count >= 1, got -4"),
 }
 
 
@@ -431,9 +445,9 @@ def test_genus2_acyl_profile_never_scans(capsys, tmp_path, monkeypatch):
     # 7 + 4 < L2 = 14, so one-cell rewrites decide each lookup (the bucket
     # scan compared 14,016 pairs here)
     calls = []
-    same_element = DehnBackend._same_element
-    monkeypatch.setattr(DehnBackend, "_same_element",
-                        lambda self, u, v: calls.append((u, v)) or same_element(self, u, v))
+    scan = DehnBackend._scan
+    monkeypatch.setattr(DehnBackend, "_scan",
+                        lambda self, u, layers: calls.append((u, layers)) or scan(self, u, layers))
     pres = tmp_path / "genus2.txt"
     pres.write_text("gens: a,b,c,d\nrel: abABcdCD\n")
     assert main(["acyl-profile", "--backend", f"dehn:{pres}", "--eps", "1", "--radius", "3",

@@ -761,17 +761,13 @@ def test_hausdorff_distance_dehn_beyond_budget():
 
 class _BudgetedTree(FreeBackend):
     """free:2 whose distances above 2 are only certified > 1, so a lower
-    bound can tie an exact distance.  Its path states keep the same budget
-    as dist."""
-
-    def dist(self, u, v):
-        d = super().dist(u, v)
-        if d > 2:
-            raise BudgetExceeded("beyond the test budget", 2)
-        return d
+    bound can tie an exact distance.  The budget sits in state_dist, which
+    dist and length read too."""
 
     def state_dist(self, state):
-        return self.dist("", self.render(state))
+        if len(state) > 2:
+            raise BudgetExceeded("beyond the test budget", 2)
+        return len(state)
 
 
 def test_hausdorff_distance_exact_candidate_wins_tie():
