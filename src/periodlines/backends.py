@@ -101,14 +101,12 @@ class _Backend:
     of the element a state stands for (the stack's length here; Dehn
     overrides it).  On every backend length and dist are state_dist of g
     and of u^-1 v, with "lower_bound(bound - 1)" where it raises, so
-    lengths and distances are defined in one place.  dist checks the
-    letters of u^-1 v, so a bad letter of u is named as it reads in u^-1;
-    its callers pass words already checked.  On every backend a state is
-    empty iff it stands for the identity: here and on the free product a
-    state holds the normal form, and on Dehn it is Dehn-reduced, and by
-    Dehn's lemma a nonempty Dehn-reduced word is nontrivial.  append_letter
-    need not check its letter, so a caller that appends the letters of a
-    word checks the word once first (check_word).
+    lengths and distances are defined in one place.  On every backend a
+    state is empty iff it stands for the identity: here and on the free
+    product a state holds the normal form, and on Dehn it is Dehn-reduced,
+    and by Dehn's lemma a nonempty Dehn-reduced word is nontrivial.
+    append_letter need not check its letter, so a caller that appends the
+    letters of a word checks the word once first (check_word).
 
     Capabilities:
     - conjugacy_core(g): (conj, core) exactly, or None where the backend
@@ -168,7 +166,11 @@ class _Backend:
             return exc.bound - 1, f"lower_bound({exc.bound - 1})"
 
     def dist(self, u: str, v: str) -> int:
-        return self.state_dist(self.parse_state(inverse_word(u) + v))
+        try:
+            return self.state_dist(self.parse_state(inverse_word(u) + v))
+        except BackendError:
+            self.check_word(u)  # name a bad letter of u as written, not as in u^-1
+            raise
 
     def geodesic_word(self, g: str) -> str:
         return self.normal_form(g)

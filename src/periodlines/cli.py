@@ -1,6 +1,10 @@
 """Command line interface: every operation as a subcommand with
 machine-readable output.
 
+Handlers compute and return (exit code, result) or (exit code, result,
+certificate); main loads --profile, calls the handler and writes the run
+record once, so every subcommand's record is built in one place.
+
 Exit codes: 0 success, 2 hypothesis failure / witness not found within
 bounds, 64 usage error, 1 runtime error (a bad backend, word or file, a
 budget that runs out before a result is certified, or a refused hypothesis
@@ -79,12 +83,12 @@ def profile_echo(profile: ConstantsProfile | None):
 
 
 def emit(args, record: dict) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2)
             fh.write("\n")
         return
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(record, indent=2))
     else:
         for key, value in record.items():
@@ -93,12 +97,11 @@ def emit(args, record: dict) -> None:
             print(f"{key}: {json.dumps(value) if not isinstance(value, str) else value}")
 
 
-def run_record(args, result: dict, certificate=None, profile=None) -> dict:
+def run_record(args, start: float, result: dict, certificate=None, profile=None) -> dict:
     record = {
         "subcommand": args.command,
         "inputs": {k: v for k, v in vars(args).items()
-                   if k not in ("command", "func", "parser", "json", "out", "start_time")
-                   and v is not None},
+                   if k not in ("command", "func", "parser", "json", "out") and v is not None},
         "result": result,
     }
     if certificate is not None:
@@ -107,112 +110,85 @@ def run_record(args, result: dict, certificate=None, profile=None) -> dict:
         record["profile"] = profile_echo(profile)
     if getattr(args, "seed", None) is not None:
         record["seed"] = args.seed
-    record["wall_time_s"] = time.perf_counter() - args.start_time
+    record["wall_time_s"] = time.perf_counter() - start
     return record
 
 
-def _harness_exit(res: harness.HarnessResult) -> int:
-    return 0 if res.ok else HYPOTHESIS_EXIT
+# Handlers take the parsed arguments and the loaded --profile (None where
+# none was given); a result of None means the handler printed its own output.
+# Each builds its own backend, so an input it refuses first builds none.
+def cmd_periods(args, profile):
+    return 0, {"periods": words.period_lengths(args.word)}
 
 
-def cmd_periods(args):
-    emit(args, run_record(args, {"periods": words.period_lengths(args.word)}))
-    return 0
-
-
-def cmd_fine_wilf(args):
+def cmd_fine_wilf(args, profile):
     try:
-        root = words.fine_wilf_root(args.word, args.p, args.q)
+        return 0, {"root": words.fine_wilf_root(args.word, args.p, args.q)}
     except words.PeriodError as exc:
-        emit(args, run_record(args, {"error": str(exc)}))
-        return HYPOTHESIS_EXIT
-    emit(args, run_record(args, {"root": root}))
-    return 0
+        return HYPOTHESIS_EXIT, {"error": str(exc)}
 
 
-def cmd_primroot(args):
+def cmd_primroot(args, profile):
     c, k = words.primitive_root(args.word)
-    emit(args, run_record(args, {"root": c, "exponent": k}))
-    return 0
+    return 0, {"root": c, "exponent": k}
 
 
-def cmd_free_reduce(args):
-    emit(args, run_record(args, {"reduced": freewords.free_reduce(args.word)}))
-    return 0
+def cmd_free_reduce(args, profile):
+    return 0, {"reduced": freewords.free_reduce(args.word)}
 
 
-def cmd_overlap_root(args):
+def cmd_overlap_root(args, profile):
     res = freewords.overlap_root(args.a, args.b)
     if res is None:
-        emit(args, run_record(args, {"overlap": None}))
-        return HYPOTHESIS_EXIT
-    emit(args, run_record(args, {"overlap": {
-        "c": res.c, "shift_a": res.shift_a, "shift_b": res.shift_b,
-        "exp_a": res.exp_a, "exp_b": res.exp_b}}))
-    return 0
+        return HYPOTHESIS_EXIT, {"overlap": None}
+    return 0, {"overlap": {"c": res.c, "shift_a": res.shift_a, "shift_b": res.shift_b,
+                           "exp_a": res.exp_a, "exp_b": res.exp_b}}
 
 
-def cmd_commensurate(args):
-    backend = make_backend(args.backend)
+def cmd_commensurate(args, profile):
     witness, cert = harness.commensurability_search(
-        backend, args.a, args.b, args.max_exponent, args.conjugator_bound)
-    emit(args, run_record(args, {"witness": witness}, certificate=cert))
-    return 0 if witness is not None else HYPOTHESIS_EXIT
+        make_backend(args.backend), args.a, args.b, args.max_exponent, args.conjugator_bound)
+    return (0 if witness is not None else HYPOTHESIS_EXIT), {"witness": witness}, cert
 
 
-def cmd_delta(args):
-    backend = make_backend(args.backend)
-    value, cert = geometry.estimate_delta(backend, args.radius,
+def cmd_delta(args, profile):
+    value, cert = geometry.estimate_delta(make_backend(args.backend), args.radius,
                                           max_triangles=args.sample, seed=args.seed)
-    emit(args, run_record(args, {"delta": str(value)}, certificate=cert))
-    return 0
+    return 0, {"delta": str(value)}, cert
 
 
-def cmd_stable_norm(args):
-    backend = make_backend(args.backend)
-    value, cert = geometry.stable_norm_estimate(backend, args.g, args.n_max)
-    emit(args, run_record(args, {"stable_norm": str(value)}, certificate=cert))
-    return 0
+def cmd_stable_norm(args, profile):
+    value, cert = geometry.stable_norm_estimate(make_backend(args.backend), args.g, args.n_max)
+    return 0, {"stable_norm": str(value)}, cert
 
 
-def cmd_classify(args):
-    backend = make_backend(args.backend)
-    emit(args, run_record(args, {"class": geometry.classify_element(backend, args.g)}))
-    return 0
+def cmd_classify(args, profile):
+    return 0, {"class": geometry.classify_element(make_backend(args.backend), args.g)}
 
 
-def cmd_inj_radius(args):
-    backend = make_backend(args.backend)
-    value, cert = geometry.injectivity_radius_estimate(backend, args.length_bound, args.n_max)
-    emit(args, run_record(args, {"inj_radius": str(value)}, certificate=cert))
-    return 0
+def cmd_inj_radius(args, profile):
+    value, cert = geometry.injectivity_radius_estimate(make_backend(args.backend),
+                                                       args.length_bound, args.n_max)
+    return 0, {"inj_radius": str(value)}, cert
 
 
-def cmd_acyl_profile(args):
-    backend = make_backend(args.backend)
-    r_est, n_est, cert = geometry.acylindricity_profile(backend, args.eps, args.radius)
-    emit(args, run_record(args, {"R": r_est, "N": n_est}, certificate=cert))
-    return 0
+def cmd_acyl_profile(args, profile):
+    r_est, n_est, cert = geometry.acylindricity_profile(make_backend(args.backend),
+                                                        args.eps, args.radius)
+    return 0, {"R": r_est, "N": n_est}, cert
 
 
-def cmd_line(args):
-    backend = make_backend(args.backend)
-    path = periodic_line(backend, args.x, args.a, args.n_min, args.n_max)
-    emit(args, run_record(args, {
-        "vertices": path.vertices, "label": path.label,
-        "phase_indices": path.phase_indices, "period_element": path.period_element,
-    }, certificate="exact"))
-    return 0
+def cmd_line(args, profile):
+    path = periodic_line(make_backend(args.backend), args.x, args.a, args.n_min, args.n_max)
+    return 0, {"vertices": path.vertices, "label": path.label,
+               "phase_indices": path.phase_indices, "period_element": path.period_element}, "exact"
 
 
-def cmd_constants(args):
-    profile = load_profile(args.profile)
-    report = constants.pipeline_report(profile, args.r)
-    emit(args, run_record(args, report, profile=profile))
-    return 0
+def cmd_constants(args, profile):
+    return 0, constants.pipeline_report(profile, args.r)
 
 
-def cmd_fourgon_selfcheck(args):
+def cmd_fourgon_selfcheck(args, profile):
     import random
 
     if args.count < 1:
@@ -233,18 +209,14 @@ def cmd_fourgon_selfcheck(args):
               and backend.equal(BS, BP) and backend.equal(TS, BQ))
         if not ok:
             failures += 1
-    emit(args, run_record(args, {"checked": args.count, "failures": failures}))
-    return 0 if failures == 0 else 1
+    return (0 if failures == 0 else 1), {"checked": args.count, "failures": failures}
 
 
-def cmd_lemma41(args):
-    backend = make_backend(args.backend)
-    profile = load_profile(args.profile) if args.profile else None
-    res = harness.lemma41_check(backend, args.b, args.x_p, args.x_q,
+def cmd_lemma41(args, profile):
+    res = harness.lemma41_check(make_backend(args.backend), args.b, args.x_p, args.x_q,
                                 args.window, args.r, profile, args.max_exponent)
-    emit(args, run_record(args, {"status": res.status, "witness": res.witness,
-                                 "details": res.details}, profile=profile))
-    return _harness_exit(res)
+    return (0 if res.ok else HYPOTHESIS_EXIT), {"status": res.status, "witness": res.witness,
+                                                "details": res.details}
 
 
 def _theorem_one(backend, args, profile, a, b, x, y, r):
@@ -257,18 +229,17 @@ def _theorem_one(backend, args, profile, a, b, x, y, r):
     return harness.main_theorem_check(inst, profile)
 
 
-def cmd_theorem(args):
+def cmd_theorem(args, profile):
     if not args.batch and (args.a is None or args.b is None):
         args.parser.error("the following arguments are required: --a, --b (or --batch)")
     backend = make_backend(args.backend)
-    profile = load_profile(args.profile) if args.profile else None
     if args.batch:
         with open(args.batch, encoding="utf-8") as fh:
             instances = json.load(fh)
         if not isinstance(instances, list):
             raise ValueError("batch must be a JSON array of instances")
         records = []
-        worst = 0
+        code = 0
         for i, item in enumerate(instances):
             if not isinstance(item, dict):
                 raise ValueError(f"batch instance {i} is not a JSON object")
@@ -282,17 +253,15 @@ def cmd_theorem(args):
             res = _theorem_one(backend, args, profile, a, b, x, y, r)
             records.append({"instance": item, "hypothesis_status": res.status,
                             "witness": res.witness, "certificate": res.details})
-            worst = max(worst, _harness_exit(res))
-        emit(args, run_record(args, {"reports": records}, profile=profile))
-        return worst
+            if not res.ok:
+                code = HYPOTHESIS_EXIT
+        return code, {"reports": records}
     res = _theorem_one(backend, args, profile, args.a, args.b, args.x, args.y, args.r)
-    emit(args, run_record(args, {"hypothesis_status": res.status,
-                                 "witness": res.witness, "details": res.details},
-                          profile=profile))
-    return _harness_exit(res)
+    return (0 if res.ok else HYPOTHESIS_EXIT), {
+        "hypothesis_status": res.status, "witness": res.witness, "details": res.details}
 
 
-def cmd_threshold(args):
+def cmd_threshold(args, profile):
     backend = make_backend(args.backend)
     if args.sweep:
         harness.require_overlap_parameter(args.r)  # the sweep's largest r
@@ -306,14 +275,12 @@ def cmd_threshold(args):
             rows.append(f"{r},{m if m is not None else 'none'}")
         if args.csv:
             print("\n".join(rows))
-        else:
-            emit(args, run_record(args, {"thresholds": {str(k): v for k, v in results.items()}}))
-        return 0
+            return 0, None
+        return 0, {"thresholds": {str(k): v for k, v in results.items()}}
     m = harness.empirical_period_threshold(backend, args.a, args.b, args.x, args.y,
                                            args.r, args.max_periods, args.max_exponent)
     result = {"threshold": m if m is not None else f"none up to {args.max_periods}"}
-    emit(args, run_record(args, result))
-    return 0 if m is not None else HYPOTHESIS_EXIT
+    return (0 if m is not None else HYPOTHESIS_EXIT), result
 
 
 REQ = {"required": True}
@@ -395,9 +362,13 @@ def main(argv=None) -> int:
             build_parser().parse_args(argv)
     else:
         args = build_parser().parse_args(argv)
-    args.start_time = time.perf_counter()
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        profile = load_profile(args.profile) if getattr(args, "profile", None) else None
+        code, result, *certificate = args.func(args, profile)
+        if result is not None:
+            emit(args, run_record(args, start, result, *certificate, profile=profile))
+        return code
     except (BackendError, BudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -257,15 +257,15 @@ def commensurability_search(backend, a: str, b: str, max_exponent: int = 8,
     The bounded search drops trivial powers, so elements of finite order
     are not called commensurable through a^s = b^t = 1.  It walks the
     conjugator ball layer by layer in BFS order, so a hit in layer d builds
-    no layer beyond d; a bound past the backend's budget is refused before
-    any layer is searched."""
+    no layer beyond d.  A negative bound, or one past the backend's budget,
+    is refused before either search, the oracle's included."""
     require_exponent_bound(max_exponent)
     if backend.is_identity(a) or backend.is_identity(b):
         raise HypothesisError("trivial element excluded")
+    backend.check_radius(conjugator_bound)
     exact = backend.commensurate(a, b)
     if exact is not None:
         return exact
-    backend.check_radius(conjugator_bound)
     # a state renders as "" iff it stands for the identity
     powers_a = {s: w for s, w in _powers(backend, a, max_exponent).items() if w}
     powers_b = {t: w for t, w in _powers(backend, b, max_exponent).items() if w}

@@ -219,6 +219,15 @@ def test_dist_matches_prefix_strip_reference(spec):
             assert backend.normal_form(u) == normal_form(u), u
 
 
+@pytest.mark.parametrize("spec,word", [("free:2", "aZ"), ("zmzn:2,3", "xQ")])
+def test_dist_names_a_bad_letter_as_written(spec, word):
+    # dist reads u^-1 v, yet names a bad letter of u as the caller wrote it
+    backend = make_backend(spec)
+    for u, v in ((word, ""), ("", word), (word, word)):
+        with pytest.raises(BackendError, match=f"^letter '{word[-1]}' not in generating set$"):
+            backend.dist(u, v)
+
+
 def test_parse_presentation():
     p = parse_presentation("# surface\ngens: a,b,c,d\nrel: abABcdCD\n")
     assert p == SURFACE_GENUS2

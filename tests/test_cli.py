@@ -363,6 +363,9 @@ ERROR_CASES = {
                        "need max_triangles >= 1, got 0"),
     "fourgon-count-negative": (["fourgon-selfcheck", "--backend", "dehn:{dir}/missing.txt",
                                 "--count", "-4"], 1, "need count >= 1, got -4"),
+    "commensurate-conjugator-bound-negative": (["commensurate", "--a", "ab", "--b", "ab",
+                                                "--conjugator-bound", "-1"], 1,
+                                               "radius must be >= 0"),
 }
 
 
@@ -396,6 +399,81 @@ def test_error_exit_code(capsys, tmp_path, argv, code, message):
     assert err.splitlines()[-1].startswith("error: ") and message in err, err
     if code == 1:
         assert err.count("\n") == 1, err
+
+
+# The README contract for every integer option of every command, at -1, 0,
+# 1 and its default (the option left out), with cheap values for the other
+# options: exit 0 or 2 with a JSON record, or exit 1 or 64 with one error:
+# line.  delta runs on zmzn:2,3, since free:2 at the default radius takes
+# seconds, and theorem passes --periods, since without a profile only the
+# weak theorem answers.
+SWEEP_BASE = {
+    "fine-wilf": {"--word": "ababab", "-p": "2", "-q": "4"},
+    "commensurate": {"--a": "ab", "--b": "ab"},
+    "delta": {"--backend": "zmzn:2,3"},
+    "stable-norm": {"--backend": "free:2", "--g": "ab"},
+    "inj-radius": {"--backend": "free:2"},
+    "acyl-profile": {"--backend": "zmzn:2,3"},
+    "line": {"--backend": "free:2", "--a": "ab"},
+    "constants": {"--profile": "{profile}"},
+    "fourgon-selfcheck": {},
+    "lemma41": {"--backend": "free:2", "--b": "ab", "--x-q": "ab"},
+    "theorem": {"--backend": "free:2", "--a": "ab", "--b": "ab", "--periods": "2"},
+    "threshold": {"--a": "ab", "--b": "ab"},
+}
+# No exit-0 or exit-2 record may echo a value below the option's floor
+# (inj-radius needs a nontrivial element, so a length bound of 1).
+SWEEP_FLOORS = {
+    ("commensurate", "--max-exponent"): 1, ("commensurate", "--conjugator-bound"): 0,
+    ("delta", "--radius"): 0, ("delta", "--sample"): 1,
+    ("stable-norm", "--n-max"): 1,
+    ("inj-radius", "--length-bound"): 1, ("inj-radius", "--n-max"): 1,
+    ("acyl-profile", "--eps"): 0, ("acyl-profile", "--radius"): 1,
+    ("constants", "--r"): 0,
+    ("fourgon-selfcheck", "--count"): 1,
+    ("lemma41", "--window"): 1, ("lemma41", "--r"): 0, ("lemma41", "--max-exponent"): 1,
+    ("theorem", "--r"): 0, ("theorem", "--periods"): 1, ("theorem", "--max-exponent"): 1,
+    ("threshold", "--r"): 0, ("threshold", "--max-periods"): 1,
+    ("threshold", "--max-exponent"): 1,
+}
+# Options without a floor: a p or q that is not a period of the word is
+# answered "not a period", any seed is a seed, and line asks only
+# n_min < n_max, refusing the rest.
+SWEEP_NO_FLOOR = {("fine-wilf", "-p"), ("fine-wilf", "-q"), ("delta", "--seed"),
+                  ("fourgon-selfcheck", "--seed"), ("line", "--n-min"), ("line", "--n-max")}
+SWEEP_CASES = [(name, option, value) for name, (_, _, options) in COMMANDS.items()
+               for option, keywords in options.items() if keywords.get("type") is int
+               for value in ("-1", "0", "1", None)]
+
+
+def test_sweep_classifies_every_integer_option():
+    swept = {(name, option) for name, option, _ in SWEEP_CASES}
+    assert swept == set(SWEEP_FLOORS) | SWEEP_NO_FLOOR
+    assert not set(SWEEP_FLOORS) & SWEEP_NO_FLOOR
+
+
+@pytest.mark.parametrize("name,option,value", SWEEP_CASES,
+                         ids=[f"{n} {o} {v or 'default'}" for n, o, v in SWEEP_CASES])
+def test_integer_option_contract(capsys, profile_path, name, option, value):
+    options = {**SWEEP_BASE[name], option: value}
+    argv = [name] + [arg.format(profile=profile_path) for opt, v in options.items()
+                     if v is not None for arg in (opt, v)] + ["--json"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if code in (0, 2):
+        assert err == ""
+        echoed = json.loads(out)["inputs"].get(option.lstrip("-").replace("-", "_"))
+        floor = SWEEP_FLOORS.get((name, option))
+        if floor is not None and echoed is not None:
+            assert min(echoed if isinstance(echoed, list) else [echoed]) >= floor, out
+    else:
+        assert code in (1, 64), (code, err)
+        assert [line for line in err.splitlines() if line.startswith("error:")] == \
+            err.splitlines()[-1:], err
 
 
 # Frozen outputs of genus-2 surface group calls, which a faster Dehn backend

@@ -246,6 +246,9 @@ def test_commensurability_search_refuses_a_bound_past_the_budget():
     assert d._layer_start == [0, 1]
     with pytest.raises(BackendError, match="radius must be >= 0"):
         commensurability_search(FP, "xy", "xy", conjugator_bound=-1)
+    # refused before the free group's exact oracle, which reads no bound
+    with pytest.raises(BackendError, match="radius must be >= 0"):
+        commensurability_search(FREE, "ab", "ab", conjugator_bound=-1)
 
 
 def test_commensurability_search_reverifies_bounded_witness():
