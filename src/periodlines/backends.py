@@ -11,6 +11,9 @@ code they share and every backend-specific decision the geometry and the
 harness need.  Each primitive has one path: on every backend dist(u, v) is
 state_dist(parse_state(u^-1 v)), exact or BudgetExceeded with a certified
 lower bound, and a length certificate other than "exact" means |g| > n.
+On every backend ball(radius) reads one ball of ShortLex geodesics, grown
+once per instance one BFS layer at a time, as far as a call needs; the one
+per-backend decision is which extended words are new elements (_is_new).
 
 Every backend also keeps mutable path states, and on every backend a
 state is a stack of letters: parse_state(w) builds one, append_letter(state,
@@ -29,8 +32,7 @@ vertex.  A loop that multiplies by a fixed word keeps one state and
 appends the word's letters, so no product is reduced twice.
 
 The Dehn backend reduces words in real time, one left-to-right stack pass
-per word (Domanski-Anshel 1985; Holt 2000).  Its ball of certified
-geodesics grows one BFS layer at a time, only as far as a call needs.
+per word (Domanski-Anshel 1985; Holt 2000).
 Ball membership rests on a per-presentation bound L2, proved by the
 curvature count of Lyndon-Schupp (Combinatorial Group Theory, Ch. V,
 Sec. 3-4): every cyclically reduced trivial word shorter than L2 is a
@@ -94,7 +96,9 @@ class _Backend:
     length(g) -> (n, certificate).  On every backend the ball's words are
     geodesics listed in BFS order, layer by layer, and they are
     prefix-closed: each layer is the last one extended by a letter, so a
-    word w of layer d has its BFS parent w[:-1] in layer d - 1.  Path
+    word w of layer d has its BFS parent w[:-1] in layer d - 1.  Each
+    instance grows one ball as far as its calls ask (_grow), and a backend
+    decides only which extended words are new elements (_is_new).  Path
     states are stacks of letters on every backend: parse_state,
     append_letter (free cancellation here; the free product and Dehn
     backends override both), render (a join), and state_dist, the length
@@ -122,9 +126,9 @@ class _Backend:
       decides.  Here the key is w itself: callers pass normal forms.
 
     The code here assumes canonical normal forms that are geodesic words,
-    and its conjugacy_core holds in free groups and free products; a backend
-    without these properties overrides it.  The other capabilities default
-    to "not available".
+    and its _is_new and conjugacy_core hold in free groups and free
+    products; a backend without these properties overrides them.  The
+    other capabilities default to "not available".
     """
 
     elliptic_core_len = 0
@@ -134,6 +138,12 @@ class _Backend:
         self.letters = letters
         self._letterset = frozenset(letters).union(aliases)
         self._cancelling = [c + c.swapcase() for c in letters]
+        self._ranked_letters = sorted(letters, key=letter_rank)
+        # The ball: its elements in BFS order as ShortLex geodesics, and the
+        # index of each.  Layer d is _canon[_layer_start[d]:_layer_start[d + 1]].
+        self._canon: list[str] = [""]
+        self._index: dict[str, int] = {"": 0}
+        self._layer_start: list[int] = [0, 1]
 
     def check_word(self, w: str) -> None:
         if not self._letterset.issuperset(w):
@@ -185,19 +195,29 @@ class _Backend:
         """Every element at distance <= radius with its exact distance,
         in deterministic ShortLex BFS order."""
         self.check_radius(radius)
-        out = {"": 0}
-        frontier = [""]
-        letters = sorted(self.letters, key=letter_rank)
-        for d in range(1, radius + 1):
-            nxt = []
-            for w in frontier:
-                for c in letters:
-                    v = self.mul(w, c)
-                    if v not in out:
-                        out[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        return out
+        self._grow(radius)
+        # canonical words are geodesics: a word's length is its distance
+        return {w: len(w) for w in self._canon[:self._layer_start[radius + 1]]}
+
+    def _grow(self, radius: int) -> None:
+        """Grow the ball up to radius.  A w c that cancels freely is w[:-1], of
+        the layer before w's; the other candidates come in ShortLex order, so
+        the first word reaching an element is its ShortLex geodesic."""
+        while len(self._layer_start) <= radius + 1:
+            d = len(self._layer_start) - 1
+            for w in self._canon[self._layer_start[d - 1]:self._layer_start[d]]:
+                for c in self._ranked_letters:
+                    cand = w + c
+                    if w[-1:] != c.swapcase() and self._is_new(cand, d):
+                        self._index[cand] = len(self._canon)
+                        self._canon.append(cand)
+            self._layer_start.append(len(self._canon))
+
+    def _is_new(self, cand: str, d: int) -> bool:
+        """Whether cand, a word of layer d - 1 extended by a letter that does
+        not cancel, is an element no built layer holds: here iff it is its
+        own normal form, since normal forms are the unique geodesics."""
+        return self.normal_form(cand) == cand
 
     def append_letter(self, state: list[str], c: str) -> None:
         if state and state[-1] == c.swapcase():
@@ -507,16 +527,16 @@ class DehnBackend(_Backend):
     The word problem is solved exactly by Dehn's algorithm, run in real time
     as one left-to-right stack pass (Domanski-Anshel 1985; Holt 2000).
     Geodesic lengths and ShortLex canonical forms are certified only within
-    a BFS ball of radius max_radius, grown one layer at a time as far as a
-    call needs.  Ball membership of a Dehn-reduced word u rests on the
-    per-presentation bound L2 (see one_cell_bound): in a layer d with
-    |u| + d < L2, u can equal only a word of its own length that differs
-    from it in one half-relator, which one index lookup per occurrence
-    decides (see _member).  Only layers with |u| + d >= L2 are scanned,
-    bucket by bucket, each member compared with u by Dehn's algorithm (see
-    _scan).  On genus 2, L2 = 14: growing the ball to radius 6 never scans,
-    and at the default budget neither does a lookup of a word whose Dehn
-    reduction is at most 9 letters long.
+    the ball of radius max_radius, whose new words (_is_new) neither end in
+    a rule key nor lie in a built layer (_member).  Ball membership of a
+    Dehn-reduced word u rests on the per-presentation bound L2 (see
+    one_cell_bound): in a layer d with |u| + d < L2, u can equal only a
+    word of its own length that differs from it in one half-relator, which
+    one index lookup per occurrence decides (see _member).  Only layers
+    with |u| + d >= L2 are scanned, bucket by bucket, each member compared
+    with u by Dehn's algorithm (see _scan).  On genus 2, L2 = 14: growing
+    the ball to radius 6 never scans, and at the default budget neither
+    does a lookup of a word whose Dehn reduction is at most 9 letters long.
 
     normal_form, geodesic_word and state_dist (so length and dist) look a
     Dehn-reduced u up in one place, _canonical, which grows the ball only
@@ -541,7 +561,6 @@ class DehnBackend(_Backend):
         self.presentation = presentation
         self.max_radius = max_radius
         super().__init__([c for g in presentation.generators for c in (g, g.upper())])
-        self._ranked_letters = sorted(self.letters, key=letter_rank)
         self._l2 = one_cell_bound(presentation)
         # Replacement rules: a subword covering more than half of a
         # symmetrized relator rho = s t is replaced by the shorter t^-1.  Only
@@ -569,13 +588,8 @@ class DehnBackend(_Backend):
             _integer_kernel(vectors, len(presentation.generators))
         # the most one letter moves each homomorphism (see _length_floor)
         self._hom_steps = [max(map(abs, phi)) for phi in self._homs or ()]
-        # The ball: its elements in BFS order as ShortLex geodesics, and the
-        # index of each.  Layer d is _canon[_layer_start[d]:_layer_start[d + 1]].
         # The scan's (homomorphism values, layer) buckets hold _canon[:_bucketed],
         # filled only when a scan needs them.
-        self._canon: list[str] = [""]
-        self._index: dict[str, int] = {"": 0}
-        self._layer_start: list[int] = [0, 1]
         self._buckets: dict[tuple, list[int]] = {}
         self._bucketed = 0
 
@@ -709,40 +723,17 @@ class DehnBackend(_Backend):
                     return idx
         return None
 
-    def _grow(self, radius: int) -> None:
-        """Build the ball layer by layer up to radius (<= max_radius)."""
-        rules, lengths = self._rules, self._rule_lengths
-        while len(self._layer_start) <= radius + 1:
-            d = len(self._layer_start) - 1
-            for w in self._canon[self._layer_start[d - 1]:self._layer_start[d]]:
-                for c in self._ranked_letters:
-                    if w and w[-1] == c.swapcase():
-                        continue
-                    # w is geodesic, hence Dehn-reduced, so w c is too unless
-                    # it ends in a rule key; then it reduces to a shorter
-                    # word, an element of a built layer.
-                    cand = w + c
-                    if any(cand[-k:] in rules for k in lengths):
-                        continue
-                    if self._member(cand, d) is not None:
-                        continue
-                    # BFS explores candidate words in ShortLex order, so the
-                    # first word reaching an element is its ShortLex geodesic.
-                    self._index[cand] = len(self._canon)
-                    self._canon.append(cand)
-            self._layer_start.append(len(self._canon))
+    def _is_new(self, cand: str, d: int) -> bool:
+        # a geodesic w is Dehn-reduced, so w c is too unless it ends in a
+        # rule key, and then it reduces to a shorter word
+        return (not any(cand[-k:] in self._rules for k in self._rule_lengths)
+                and self._member(cand, d) is None)
 
     def check_radius(self, radius: int) -> None:
         super().check_radius(radius)
         if radius > self.max_radius:
             raise BudgetExceeded(f"ball radius {radius} exceeds budget; largest completed "
                                  f"radius is {self.max_radius}", None)
-
-    def ball(self, radius: int) -> dict[str, int]:
-        self.check_radius(radius)
-        self._grow(radius)
-        # canonical words are geodesics: a word's length is its distance
-        return {w: len(w) for w in self._canon[:self._layer_start[radius + 1]]}
 
     def _canonical(self, red: str) -> str | None:
         """The ShortLex geodesic of the element of the Dehn-reduced word red

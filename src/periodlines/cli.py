@@ -209,7 +209,9 @@ def cmd_fourgon_selfcheck(args, profile):
               and backend.equal(BS, BP) and backend.equal(TS, BQ))
         if not ok:
             failures += 1
-    return (0 if failures == 0 else 1), {"checked": args.count, "failures": failures}
+    if failures:
+        raise ValueError(f"{failures} of {args.count} 4-gon checks failed")
+    return 0, {"checked": args.count, "failures": 0}
 
 
 def cmd_lemma41(args, profile):
@@ -262,6 +264,8 @@ def cmd_theorem(args, profile):
 
 
 def cmd_threshold(args, profile):
+    if args.csv and not args.sweep:
+        args.parser.error("--csv needs --sweep")
     backend = make_backend(args.backend)
     if args.sweep:
         harness.require_overlap_parameter(args.r)  # the sweep's largest r

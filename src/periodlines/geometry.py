@@ -322,7 +322,10 @@ def injectivity_radius_estimate(backend, length_bound: int, n_max: int = 8):
     """Upper bound on the injectivity radius: min stable-norm estimate over
     loxodromic elements of length <= length_bound.  The stable norm is a
     conjugacy invariant, so conjugates that are not shortest in their class
-    bound it as well as the shortest ones do."""
+    bound it as well as the shortest ones do.  A negative length_bound is
+    refused before the ball is built."""
+    if length_bound < 0:
+        raise GeometryError(f"need length_bound >= 0, got {length_bound}")
     best = None
     witness = None
     for g in backend.ball(length_bound):

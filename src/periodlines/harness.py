@@ -96,11 +96,9 @@ def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
                              {**details, "reason": "endpoints farther than r"})
     # A = phase vertex of the q-line, B = phase vertex of the p-line
     z = backend.mul(backend.inv(backend.normal_form(x_q)), backend.normal_form(x_p))
-    power = backend.parse_state("")  # b's letters were checked above
+    powers = _powers(backend, b, max_exponent)
     for n in range(1, max_exponent + 1):
-        for c in b:
-            backend.append_letter(power, c)
-        bn = backend.render(power)
+        bn = powers[n]
         if backend.equal(backend.mul(z, bn), backend.mul(bn, z)):
             # re-verify via the conjugation form before emitting
             if not backend.equal(backend.mul(backend.mul(backend.inv(z), bn), z), bn):
@@ -262,6 +260,8 @@ def commensurability_search(backend, a: str, b: str, max_exponent: int = 8,
     require_exponent_bound(max_exponent)
     if backend.is_identity(a) or backend.is_identity(b):
         raise HypothesisError("trivial element excluded")
+    if conjugator_bound < 0:
+        raise HypothesisError(f"need conjugator_bound >= 0, got {conjugator_bound}")
     backend.check_radius(conjugator_bound)
     exact = backend.commensurate(a, b)
     if exact is not None:
@@ -302,6 +302,6 @@ def empirical_period_threshold(backend, a: str, b: str, x: str, y: str, r: int,
     q = _b_window(backend, a, b, y, r, -max_periods, 2 * max_periods)
     p = periodic_line(backend, x, a, -max_periods, max_periods + 1)
     vertex_ok = neighborhood_profile(p, q, r, backend)
-    la = backend.length(a)[0]
-    contained = any(all(vertex_ok[k * la:(k + 1) * la + 1]) for k in range(2 * max_periods + 1))
+    ph = p.phase_indices
+    contained = any(all(vertex_ok[i:j + 1]) for i, j in zip(ph, ph[1:]))
     return 1 if contained else None

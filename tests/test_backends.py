@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from periodlines.backends import (
 )
 from periodlines.freewords import free_reduce, inverse_word, is_cyclically_reduced
 from periodlines.words import primitive_root
+from ball_reference import ball_reference
 from dehn_scan_reference import ScanDehn, ScanLengths
 from dist_reference import free_dist, zmzn_dist
 from pieces_reference import longest_pieces_reference
@@ -486,10 +488,34 @@ def test_surface_sphere_sizes(genus, radius, sizes):
     assert _spheres(d.ball(radius), radius) == sizes
 
 
-def test_ball_grows_on_demand():
-    fresh = DehnBackend(SURFACE_GENUS2).ball(2)
-    full = DehnBackend(SURFACE_GENUS2).ball(4)
-    assert list(fresh.items()) == [(w, n) for w, n in full.items() if n <= 2]
+@pytest.mark.parametrize("spec,radius", [
+    ("free:2", 7), ("free:3", 5), ("zmzn:2,3", 12), ("zmzn:3,3", 9), ("zmzn:2,2", 12),
+])
+def test_ball_matches_mul_reference(spec, radius):
+    backend = make_backend(spec)
+    normal_form = free_reduce
+    if spec.startswith("zmzn:"):
+        normal_form = partial(zmzn_normal_form, tuple(map(int, spec[len("zmzn:"):].split(","))))
+    ball = backend.ball(radius)
+    assert list(ball.items()) == list(ball_reference(backend.letters, normal_form, radius).items())
+
+
+@pytest.mark.parametrize("make,radius", [
+    (lambda: FreeBackend(2), 7),
+    (lambda: FreeProductBackend((2, 3)), 12),
+    (lambda: DehnBackend(SURFACE_GENUS2), 4),
+], ids=["free2", "zmzn23", "genus2"])
+def test_ball_grows_on_demand(make, radius):
+    # one instance grows its ball once and answers every radius after it
+    # as a fresh instance does; a fresh one builds only the layers it needs
+    one = make()
+    for r in (radius, 1, radius - 2, 0, radius):
+        assert list(one.ball(r).items()) == list(make().ball(r).items())
+    fresh = make()
+    small = fresh.ball(2)
+    assert len(fresh._layer_start) == 4
+    full = make().ball(radius)
+    assert list(small.items()) == [(w, n) for w, n in full.items() if n <= 2]
 
 
 def _freely_reduced(n):

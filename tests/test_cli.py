@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from periodlines.backends import SURFACE_GENUS2, DehnBackend
+from periodlines.backends import SURFACE_GENUS2, DehnBackend, FreeBackend
 from periodlines.freewords import inverse_word
 from periodlines import cli
 from periodlines.cli import COMMANDS, build_parser, main
@@ -149,6 +149,18 @@ def test_fourgon_selfcheck(capsys):
                                   "--count", "10", "--seed", "1"])
     assert code == 0 and rec["result"]["failures"] == 0
     assert rec["seed"] == 1
+
+
+def test_fourgon_selfcheck_failure_is_an_error(capsys, monkeypatch):
+    # a failed 4-gon check is a runtime error: one error: line, no record
+    class Disagreeing(FreeBackend):
+        def equal(self, u, v):
+            return False
+
+    monkeypatch.setattr(cli, "make_backend", lambda spec: Disagreeing(2))
+    assert main(["fourgon-selfcheck", "--count", "2", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: 2 of 2 4-gon checks failed\n"
 
 
 def test_lemma41(capsys):
@@ -365,7 +377,12 @@ ERROR_CASES = {
                                 "--count", "-4"], 1, "need count >= 1, got -4"),
     "commensurate-conjugator-bound-negative": (["commensurate", "--a", "ab", "--b", "ab",
                                                 "--conjugator-bound", "-1"], 1,
-                                               "radius must be >= 0"),
+                                               "need conjugator_bound >= 0, got -1"),
+    "inj-radius-length-bound-negative": (["inj-radius", "--backend", "free:2",
+                                          "--length-bound", "-1"], 1,
+                                         "need length_bound >= 0, got -1"),
+    "threshold-csv-without-sweep": (["threshold", "--a", "ab", "--b", "ab", "--csv"], 64,
+                                    "--csv needs --sweep"),
 }
 
 

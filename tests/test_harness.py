@@ -244,10 +244,10 @@ def test_commensurability_search_refuses_a_bound_past_the_budget():
     with pytest.raises(BudgetExceeded, match="^ball radius 5 exceeds budget"):
         commensurability_search(d, "ab", "ab", conjugator_bound=5)
     assert d._layer_start == [0, 1]
-    with pytest.raises(BackendError, match="radius must be >= 0"):
+    with pytest.raises(HypothesisError, match="^need conjugator_bound >= 0, got -1$"):
         commensurability_search(FP, "xy", "xy", conjugator_bound=-1)
     # refused before the free group's exact oracle, which reads no bound
-    with pytest.raises(BackendError, match="radius must be >= 0"):
+    with pytest.raises(HypothesisError, match="^need conjugator_bound >= 0, got -1$"):
         commensurability_search(FREE, "ab", "ab", conjugator_bound=-1)
 
 
