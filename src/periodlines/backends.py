@@ -185,9 +185,10 @@ class _Backend:
     def geodesic_word(self, g: str) -> str:
         return self.normal_form(g)
 
-    def check_radius(self, radius: int) -> None:
+    def check_radius(self, radius: int, name: str = "ball radius") -> None:
         """Raise as ball(radius) would before building anything: BackendError
-        for a negative radius (and BudgetExceeded past a budget, on Dehn)."""
+        for a negative radius (and BudgetExceeded past a budget, on Dehn, whose
+        message calls the radius name: a caller passes its parameter's name)."""
         if radius < 0:
             raise BackendError("radius must be >= 0")
 
@@ -729,10 +730,10 @@ class DehnBackend(_Backend):
         return (not any(cand[-k:] in self._rules for k in self._rule_lengths)
                 and self._member(cand, d) is None)
 
-    def check_radius(self, radius: int) -> None:
+    def check_radius(self, radius: int, name: str = "ball radius") -> None:
         super().check_radius(radius)
         if radius > self.max_radius:
-            raise BudgetExceeded(f"ball radius {radius} exceeds budget; largest completed "
+            raise BudgetExceeded(f"{name} {radius} exceeds budget; largest completed "
                                  f"radius is {self.max_radius}", None)
 
     def _canonical(self, red: str) -> str | None:

@@ -8,6 +8,7 @@ witnesses on a finite ball, not proofs for the whole group.
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,15 +140,27 @@ def quasi_geodesic_check(path: PathInGraph, params: QuasiParams, backend) -> lis
 
 
 def _cached_dist(backend):
-    cache: dict[tuple[str, str], int] = {}
+    """dist(u, v), asking backend.dist each pair once; dist.rows[x][y] holds
+    every answer, in both orientations."""
+    rows = defaultdict(dict)
 
     def dist(u: str, v: str) -> int:
-        key = (u, v) if u <= v else (v, u)
-        if key not in cache:
-            cache[key] = backend.dist(u, v)
-        return cache[key]
+        row = rows[u]
+        if v not in row:
+            row[v] = rows[v][u] = backend.dist(u, v)
+        return row[v]
 
+    dist.rows = rows
     return dist
+
+
+def _side_dist(dist, x, side) -> int:
+    """min over y in side of d(x, y): one C-level min where the row of x
+    holds every pair, else dist asked each pair in path order."""
+    try:
+        return min(map(dist.rows[x].__getitem__, side))
+    except KeyError:
+        return min(dist(x, y) for y in side)
 
 
 def slimness(backend, tri, dist=None) -> Fraction:
@@ -168,18 +181,16 @@ def slimness(backend, tri, dist=None) -> Fraction:
     slimness is therefore exactly the largest of 2 N(x) over the vertices x
     of each side and, over its edges (a1, a2), of 0 where another side has
     the edge and 2 min(N(a1), N(a2)) + 1 elsewhere.  Another side has the
-    edge exactly when it has a1 and a2 as vertices, since d(a1, a2) = 1 and
-    two vertices of a geodesic at distance 1 are consecutive on it.
+    edge exactly when its vertex set holds a1 and a2, since d(a1, a2) = 1
+    and two vertices of a geodesic at distance 1 are consecutive on it.
 
-    dist is asked d(x, y) for every vertex x of a side and every vertex y
-    of the other two sides: sides in order, then x and y in path order.
-    Those are the pairs a scan over all point pairs asks for, in the same
-    order, so a distance beyond the backend's budget raises the same
-    BudgetExceeded.  N(x) is the lesser of the vertex-to-side distances
-    N(x, S) = min over y in S of d(x, y) to the two other sides S.  Each
-    N(x, S) is taken once and read back where x is a vertex of two sides;
-    a read-back skips only pairs dist was already asked, so the order of
-    first asks is unchanged.
+    dist (from _cached_dist) is asked d(x, y) for every vertex x of a side
+    and every vertex y of the other two sides: sides in order, then x and y
+    in path order, the pairs and order of a scan over all point pairs, so a
+    distance beyond the budget raises the same BudgetExceeded.  N(x) is the
+    lesser of N(x, S) to the two other sides S (_side_dist), each taken once
+    and read back where x is a vertex of two sides; a read-back, like a
+    read of dist.rows, skips only pairs already asked.
     """
     return Fraction(_twice_slimness(backend, tri, dist or _cached_dist(backend), {}), 2)
 
@@ -187,33 +198,36 @@ def slimness(backend, tri, dist=None) -> Fraction:
 def _twice_slimness(backend, tri, dist, sides) -> int:
     """Twice the slimness of tri (see slimness).  The memo sides maps an
     ordered corner pair (u, v) to the vertices of the ShortLex geodesic
-    side S from u to v and a dict of the N(x, S) found so far.
+    side S from u to v, their set, and a dict of the N(x, S) found so far.
     An N(x, S) is stored only after all of its distances have been asked,
-    so a memo hit skips only pairs that dist was already asked."""
-    corners = [(tri[i], tri[(i + 1) % 3]) for i in range(3)]
-    for u, v in corners:
+    so a memo hit skips only pairs that dist was already asked.  No edge of a side beats worst where 2 max N(x) + 1 <= worst, so that
+    side's edge loop is skipped."""
+    a, b, c = tri
+    for u, v in (a, b), (b, c), (c, a):
         if (u, v) not in sides:
             w = backend.geodesic_word(backend.mul(backend.inv(u), v))
             verts = path_from_word(backend, u, w).vertices
-            sides[u, v] = (verts, {})
-    tri_sides = [sides[key] for key in corners]
+            sides[u, v] = (verts, set(verts), {})
+    s0, s1, s2 = sides[a, b], sides[b, c], sides[c, a]
     worst = 0
-    for i in range(3):
-        verts = tri_sides[i][0]
-        (side1, near1), (side2, near2) = tri_sides[(i + 1) % 3], tri_sides[(i + 2) % 3]
+    for (verts, _, _), (side1, set1, near1), (side2, set2, near2) in (
+            (s0, s1, s2), (s1, s2, s0), (s2, s0, s1)):
         nearest = []
         for x in verts:
             n1 = near1.get(x)
             if n1 is None:
-                n1 = near1[x] = min(dist(x, y) for y in side1)
+                n1 = near1[x] = _side_dist(dist, x, side1)
             n2 = near2.get(x)
             if n2 is None:
-                n2 = near2[x] = min(dist(x, y) for y in side2)
-            nearest.append(min(n1, n2))
-        worst = max(worst, 2 * max(nearest))
+                n2 = near2[x] = _side_dist(dist, x, side2)
+            nearest.append(n1 if n1 < n2 else n2)
+        top = 2 * max(nearest)
+        if top < worst:
+            continue
+        worst = top
         for a1, a2, n1, n2 in zip(verts, verts[1:], nearest, nearest[1:]):
-            edge = 2 * min(n1, n2) + 1
-            if edge > worst and not (a1 in side1 and a2 in side1 or a1 in side2 and a2 in side2):
+            edge = 2 * (n1 if n1 < n2 else n2) + 1
+            if edge > worst and not (a1 in set1 and a2 in set1 or a1 in set2 and a2 in set2):
                 worst = edge
     return worst
 
@@ -223,21 +237,19 @@ def estimate_delta(backend, radius: int, max_triangles: int = 20000, seed: int =
     exhaustive when feasible, otherwise a seeded sample.  The result is a
     lower-bound certificate for the true hyperbolicity constant.
 
-    All triangles share one dist cache, so the backend is asked each
-    distance once, in the order of the first triangle that needs it.  Each
-    triangle asks for the pairs the point-pair scan asked for (see
-    slimness), so values, certificates and budget failures are the scan's.
-
-    Sides and vertex-to-side distances are memoized (see _twice_slimness)
-    for as long as triangles share them.  On an exhaustive scan of n
-    elements every ordered corner pair is a side of n - 2 triangles, so the
-    memo lives for the whole call and builds each side once, with at most
-    n(n - 1) geodesic_word calls.  Sampled triangles rarely share a side,
-    and one memo for all of them would hold every side drawn, so there it
-    lives for one triangle.  A memo hit skips only pairs that dist was
-    already asked, so the order of first asks, and with it every value,
-    certificate and BudgetExceeded message, is that of a per-triangle
-    slimness loop.  Sampled triangles are drawn one at a time, in the same
+    All triangles share one dist cache, a row of distances per vertex
+    (_cached_dist), so the backend is asked each distance once, in the order
+    of the first triangle that needs it.  Sides and vertex-to-side distances are memoized (see
+    _twice_slimness) for as long as triangles share them.  On an exhaustive
+    scan of n elements every ordered corner pair is a side of n - 2
+    triangles, so the memo lives for the whole call and builds each side
+    once, with at most n(n - 1) geodesic_word calls.  Sampled triangles
+    rarely share a side, and one memo for all of them would hold every side
+    drawn, so there it lives for one triangle.  Neither cache skips a pair
+    dist was not already asked, so the order of first asks, and with it
+    every value, certificate and BudgetExceeded message, is that of a
+    per-triangle slimness loop, and so of the point-pair scan (see
+    slimness).  Sampled triangles are drawn one at a time, in the same
     order from the same random.Random(seed), so a call that raises early
     draws no more of them than it checks.  max_triangles below 1 is refused
     before the ball is built: a sample of no triangle would read as 0."""
@@ -322,10 +334,12 @@ def injectivity_radius_estimate(backend, length_bound: int, n_max: int = 8):
     """Upper bound on the injectivity radius: min stable-norm estimate over
     loxodromic elements of length <= length_bound.  The stable norm is a
     conjugacy invariant, so conjugates that are not shortest in their class
-    bound it as well as the shortest ones do.  A negative length_bound is
-    refused before the ball is built."""
+    bound it as well as the shortest ones do.  A negative length_bound, or
+    one past the backend's budget, is refused by that name before the ball
+    is built."""
     if length_bound < 0:
         raise GeometryError(f"need length_bound >= 0, got {length_bound}")
+    backend.check_radius(length_bound, "length_bound")
     best = None
     witness = None
     for g in backend.ball(length_bound):

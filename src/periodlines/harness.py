@@ -262,7 +262,7 @@ def commensurability_search(backend, a: str, b: str, max_exponent: int = 8,
         raise HypothesisError("trivial element excluded")
     if conjugator_bound < 0:
         raise HypothesisError(f"need conjugator_bound >= 0, got {conjugator_bound}")
-    backend.check_radius(conjugator_bound)
+    backend.check_radius(conjugator_bound, "conjugator_bound")
     exact = backend.commensurate(a, b)
     if exact is not None:
         return exact

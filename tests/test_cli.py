@@ -292,7 +292,11 @@ ERROR_CASES = {
                         "--seed", "0"], 1, "distance not certified within radius 4"),
     "conjugator-bound-past-budget": (["commensurate", "--backend", "dehn:{dir}/genus2.txt",
                                       "--a", "ab", "--b", "ab", "--conjugator-bound", "5"], 1,
-                                     "ball radius 5 exceeds budget; largest completed radius is 4"),
+                                     "conjugator_bound 5 exceeds budget; largest completed "
+                                     "radius is 4"),
+    "length-bound-past-budget": (["inj-radius", "--backend", "dehn:{dir}/genus2.txt",
+                                  "--length-bound", "5"], 1,
+                                 "length_bound 5 exceeds budget; largest completed radius is 4"),
     "negative-radius-dehn": (["delta", "--backend", "dehn:{dir}/genus2.txt", "--radius", "-1"],
                              1, "radius must be >= 0"),
     "theorem-usage": (["theorem", "--backend", "free:2", "--sharp-free"], 64,

@@ -188,6 +188,16 @@ def test_estimate_delta_sampled_matches_reference():
     assert val == max(slimness_reference(FP33, tri, dist) for tri in tris)
 
 
+def test_estimate_delta_exhaustive_matches_reference():
+    # all 3,654 triangles of ball(3) against the Fraction point-pair scan;
+    # twice 1/2 is odd, so the value comes from an edge midpoint
+    backend = FreeProductBackend((3, 3))
+    assert estimate_delta(backend, 3) == (Fraction(1, 2), "lower_bound(exhaustive on ball(3))")
+    dist = functools.lru_cache(maxsize=None)(backend.dist)
+    tris = itertools.combinations(list(backend.ball(3)), 3)
+    assert max(slimness_reference(backend, tri, dist) for tri in tris) == Fraction(1, 2)
+
+
 def _log_dist(backend):
     """Make backend.dist log each pair it is asked; returns the log."""
     log, dist = [], backend.dist
@@ -221,6 +231,15 @@ DELTA_ASK_CASES = {
     "zmzn33-r3-sampled": (lambda: FreeProductBackend((3, 3)), 3, 40, 5),
     "genus2-r1": (lambda: DehnBackend(SURFACE_GENUS2), 1, 20000, 0),
     "genus2-r2-sampled": (lambda: DehnBackend(SURFACE_GENUS2), 2, 20000, 0),
+    # 3,654 triangles, every one checked
+    "zmzn33-r3": (lambda: FreeProductBackend((3, 3)), 3, 20000, 0),
+    # every triangle of ball(3), in order: the first raise comes from a side
+    # longer than the budget (geodesic_word), after 4,181 side builds and
+    # 5,082 distance asks, so the two stay in the loop's order
+    "genus2-r3": (lambda: DehnBackend(SURFACE_GENUS2), 3, 10**8, 0),
+    # sampled: one triangle is checked before the second side of the next
+    # one raises
+    "genus2-r3-sampled": (lambda: DehnBackend(SURFACE_GENUS2), 3, 20000, 37),
 }
 
 
@@ -418,6 +437,15 @@ def test_injectivity_radius():
     assert cert.startswith("upper_bound")
     val, _ = injectivity_radius_estimate(FP, 3)
     assert val == 2  # shortest loxodromic is xy
+
+
+def test_injectivity_radius_refuses_a_bound_past_the_budget():
+    # refused by the caller's name for the radius, before any layer is built
+    d = DehnBackend(SURFACE_GENUS2)
+    with pytest.raises(BudgetExceeded, match="^length_bound 5 exceeds budget; largest completed "
+                                             "radius is 4$"):
+        injectivity_radius_estimate(d, 5)
+    assert d._layer_start == [0, 1]
 
 
 @pytest.mark.parametrize("backend, bounds", [

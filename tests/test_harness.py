@@ -241,7 +241,7 @@ def test_commensurability_search_stops_at_the_witness_layer():
 def test_commensurability_search_refuses_a_bound_past_the_budget():
     # refused before layer 0, where ab would be its own witness
     d = DehnBackend(SURFACE_GENUS2)
-    with pytest.raises(BudgetExceeded, match="^ball radius 5 exceeds budget"):
+    with pytest.raises(BudgetExceeded, match="^conjugator_bound 5 exceeds budget"):
         commensurability_search(d, "ab", "ab", conjugator_bound=5)
     assert d._layer_start == [0, 1]
     with pytest.raises(HypothesisError, match="^need conjugator_bound >= 0, got -1$"):
