@@ -139,6 +139,7 @@ class _Backend:
         self._letterset = frozenset(letters).union(aliases)
         self._cancelling = [c + c.swapcase() for c in letters]
         self._ranked_letters = sorted(letters, key=letter_rank)
+        self._rank_chars = str.maketrans({c: chr(letter_rank(c)) for c in letters})
         # The ball: its elements in BFS order as ShortLex geodesics, and the
         # index of each.  Layer d is _canon[_layer_start[d]:_layer_start[d + 1]].
         self._canon: list[str] = [""]
@@ -246,13 +247,19 @@ class _Backend:
         cyclically reduced word, unique up to cyclic permutation
         (Lyndon-Schupp, Ch. IV, Sec. 1).  Letters of the normal form are
         syllables, so the first and last ones fold together exactly when
-        their product is shorter than two letters."""
+        their product is shorter than two letters.
+
+        Every rotation of the core has the core's length, so shortlex_key
+        orders the rotations as it orders their letters, rank by rank: as
+        the strings of one character per letter rank (_rank_chars) compare,
+        in C.  min keeps the first of tied rotations."""
         core, conj = self.normal_form(g), ""
         while len(core) >= 2 and len(self.mul(core[-1], core[0])) < 2:
             conj = self.mul(conj, core[0])
             core = self.mul(self.mul(self.inv(core[0]), core), core[0])
         # every rotation of a cyclically reduced core is a normal form
-        i = min(range(len(core)), key=lambda i: shortlex_key(core[i:] + core[:i]), default=0)
+        ranks = core.translate(self._rank_chars)
+        i = min(range(len(core)), key=lambda i: ranks[i:] + ranks[:i], default=0)
         return self.mul(conj, core[:i]), core[i:] + core[:i]
 
     def element_key(self, w: str):
@@ -795,7 +802,8 @@ class DehnBackend(_Backend):
     def geodesic_word(self, g: str) -> str:
         canon = self._canonical(self.dehn_reduce(g))
         if canon is None:
-            raise BudgetExceeded("geodesic unavailable at budget", self.max_radius + 1)
+            raise BudgetExceeded("geodesic unavailable at budget; largest completed "
+                                 f"radius is {self.max_radius}", self.max_radius + 1)
         return canon
 
     def parse_state(self, w: str) -> list[str]:

@@ -124,21 +124,36 @@ def _powers(backend, g: str, n: int) -> dict[int, str]:
 
 def _witness_search(backend, a: str, b: str, x: str, y: str, max_exponent: int):
     """{s, t} with (x^-1 y) b^s (y^-1 x) = a^t by _conjugate_powers, or None.
-    y is normalized before x, so a bad letter in both is named from y."""
-    y = backend.normal_form(y)
-    u = backend.mul(backend.inv(backend.normal_form(x)), y)
-    return _conjugate_powers(backend, _powers(backend, a, max_exponent),
-                             _powers(backend, b, max_exponent), u)
+    y's letters are checked before x's, so a bad letter in both is named
+    from y.
+
+    The backend's exact oracle is asked first.  u b^s u^-1 = a^t with s,
+    t != 0 makes a and b commensurable through u^-1, and every caller has
+    required a and b to be loxodromic, so their powers are nontrivial: an
+    exact "non-commensurable" rules out every (s, t) at every u and bound,
+    and no power is built.  Without an oracle, or for a commensurable pair
+    (whose oracle conjugator need not be u), the bounded search runs."""
+    backend.check_word(y)
+    backend.check_word(x)
+    exact = backend.commensurate(a, b)
+    if exact is not None and exact[0] is None:
+        return None
+    u = backend.mul(backend.inv(x), y)
+    return _conjugate_powers(backend, _powers(backend, a, max_exponent), b, u, max_exponent)
 
 
-def _conjugate_powers(backend, powers_a: dict, powers_b: dict, u: str):
-    """{s, t} with u b^s u^-1 = a^t over the power tables of a and b, by
-    |s| + |t|, then s ascending, then t positive first, or None.  Only pairs
-    whose element keys agree are compared: identical words match, and any
-    other pair asks backend.equal.  The hit is re-verified in the
-    conjugation form u^-1 a^t u = b^s before emission."""
+def _conjugate_powers(backend, powers_a: dict, b: str, u: str, max_exponent: int):
+    """{s, t} with u b^s u^-1 = a^t, 0 < |s| <= max_exponent, over the power
+    table of a, by |s| + |t|, then s ascending, then t positive first, or
+    None.  The conjugate c = u b u^-1 is built once and its powers by
+    _powers: (u b u^-1)^s = u b^s u^-1, so they stand for the elements of
+    the conjugated powers of b.  Only pairs whose element keys agree are
+    compared: identical words match, and any other pair asks
+    backend.equal.  The hit is re-verified in the conjugation form
+    u^-1 a^t u = b^s against b's own power, built for the hit alone, so the
+    check does not rest on the table that found it."""
     u_inv = backend.inv(u)
-    conj_b = {s: backend.mul(backend.mul(u, bs), u_inv) for s, bs in powers_b.items()}
+    conj_b = _powers(backend, backend.mul(backend.mul(u, b), u_inv), max_exponent)
     bucket = {}
     for t, w in powers_a.items():
         bucket.setdefault(backend.element_key(w), []).append(t)
@@ -147,7 +162,8 @@ def _conjugate_powers(backend, powers_a: dict, powers_b: dict, u: str):
                    key=lambda st: (abs(st[0]) + abs(st[1]), st[0], -st[1]))
     for s, t in pairs:
         if conj_b[s] == powers_a[t] or backend.equal(conj_b[s], powers_a[t]):
-            if not backend.equal(backend.mul(backend.mul(u_inv, powers_a[t]), u), powers_b[s]):
+            b_s = _powers(backend, b, abs(s))[s]
+            if not backend.equal(backend.mul(backend.mul(u_inv, powers_a[t]), u), b_s):
                 raise RuntimeError("witness failed re-verification")
             return {"s": s, "t": t}
     return None
@@ -266,15 +282,15 @@ def commensurability_search(backend, a: str, b: str, max_exponent: int = 8,
     exact = backend.commensurate(a, b)
     if exact is not None:
         return exact
-    # a state renders as "" iff it stands for the identity
-    powers_a = {s: w for s, w in _powers(backend, a, max_exponent).items() if w}
+    # a state renders as "" iff it stands for the identity; a trivial power
+    # of a can only match a trivial one of b, so dropping b's drops both
     powers_b = {t: w for t, w in _powers(backend, b, max_exponent).items() if w}
     for d in range(conjugator_bound + 1):
         for g, n in backend.ball(d).items():
             if n < d:
                 continue
             # g a^s g^-1 = b^t, re-verified as a^s = g^-1 b^t g
-            hit = _conjugate_powers(backend, powers_b, powers_a, g)
+            hit = _conjugate_powers(backend, powers_b, a, g, max_exponent)
             if hit is not None:
                 return {"g": g, **hit}, f"bounded({max_exponent},{conjugator_bound})"
     return None, f"not found within bounds ({max_exponent},{conjugator_bound})"

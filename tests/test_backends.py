@@ -69,6 +69,35 @@ def test_conjugacy_core_contract(backend):
         assert backend.sharp_periods is None
 
 
+def _conjugacy_core_reference(backend, g):
+    """conjugacy_core with one shortlex_key list per rotation."""
+    core, conj = backend.normal_form(g), ""
+    while len(core) >= 2 and len(backend.mul(core[-1], core[0])) < 2:
+        conj = backend.mul(conj, core[0])
+        core = backend.mul(backend.mul(backend.inv(core[0]), core), core[0])
+    i = min(range(len(core)), key=lambda i: shortlex_key(core[i:] + core[:i]), default=0)
+    return backend.mul(conj, core[:i]), core[i:] + core[:i]
+
+
+@pytest.mark.parametrize("backend", [FreeBackend(2), FreeProductBackend((2, 3)),
+                                     FreeProductBackend((3, 3))],
+                         ids=["free", "zmzn23", "zmzn33"])
+def test_conjugacy_core_rotation_matches_shortlex_loop(backend):
+    """The rotation taken by comparing rank strings is the one the
+    shortlex_key loop takes, on every word of length <= 6, cores with tied
+    rotations (abab, xyxy) included: the first of the tied ones."""
+    tied = 0
+    for n in range(7):
+        for g in map("".join, itertools.product(backend.letters, repeat=n)):
+            exact = backend.conjugacy_core(g)
+            assert exact == _conjugacy_core_reference(backend, g), g
+            core = exact[1]
+            tied += len({core[i:] + core[:i] for i in range(len(core))}) < len(core)
+    assert tied > 10
+    period = "ab" if type(backend) is FreeBackend else "xy"
+    assert backend.conjugacy_core(period * 2) == ("", period * 2)
+
+
 def _centralizer_note_reference(backend, z, b):
     """The note's first algorithm: multiply out powers of the primitive root
     of b and of its inverse and compare each with z."""
@@ -847,7 +876,8 @@ def test_dehn_lookups_match_the_grown_ball(presentation, radius):
         red = ref.dehn_reduce(w)
         idx = ref._member(red, budget)
         canon = None if idx is None else ref._canon[idx]
-        geodesic = canon if canon is not None else "BudgetExceeded: geodesic unavailable at budget"
+        geodesic = canon if canon is not None else \
+            f"BudgetExceeded: geodesic unavailable at budget; largest completed radius is {budget}"
         length = (len(canon), "exact") if canon is not None else \
             (budget, f"lower_bound({budget})")
         return (red if canon is None else canon), geodesic, length
@@ -924,7 +954,8 @@ def test_budget_exceeded_bound_and_message():
     exc = BudgetExceeded("distance not certified within radius 4", 5)
     assert (str(exc), exc.bound) == ("distance not certified within radius 4", 5)
     d = DehnBackend(SURFACE_GENUS2)
-    with pytest.raises(BudgetExceeded, match="^geodesic unavailable at budget$") as info:
+    with pytest.raises(BudgetExceeded, match="^geodesic unavailable at budget; "
+                       "largest completed radius is 4$") as info:
         d.geodesic_word("aaaaa")
     assert info.value.bound == 5
     with pytest.raises(BudgetExceeded, match="^ball radius 5 exceeds budget") as info:

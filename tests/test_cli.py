@@ -297,6 +297,8 @@ ERROR_CASES = {
     "length-bound-past-budget": (["inj-radius", "--backend", "dehn:{dir}/genus2.txt",
                                   "--length-bound", "5"], 1,
                                  "length_bound 5 exceeds budget; largest completed radius is 4"),
+    "geodesic-past-budget": (["delta", "--backend", "dehn:{dir}/genus2.txt", "--radius", "3"],
+                             1, "geodesic unavailable at budget; largest completed radius is 4"),
     "negative-radius-dehn": (["delta", "--backend", "dehn:{dir}/genus2.txt", "--radius", "-1"],
                              1, "radius must be >= 0"),
     "theorem-usage": (["theorem", "--backend", "free:2", "--sharp-free"], 64,

@@ -128,7 +128,8 @@ def test_periodic_line_rejects_trivial_period():
 def test_geodesic_word():
     assert FREE.geodesic_word("aBbA") == ""
     assert FP.geodesic_word("yyx") == "Yx"
-    with pytest.raises(BudgetExceeded, match="geodesic unavailable at budget"):
+    with pytest.raises(BudgetExceeded,
+                       match="^geodesic unavailable at budget; largest completed radius is 4$"):
         DEHN.geodesic_word("aaaaa")
 
 

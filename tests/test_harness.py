@@ -385,6 +385,49 @@ def _acceptance4_pairs():
                     yield rotate(a, res.shift_a), rotate(b, res.shift_b), True
 
 
+def _count_powers(monkeypatch):
+    calls = []
+    powers = harness._powers
+    monkeypatch.setattr(harness, "_powers", lambda *args: calls.append(args) or powers(*args))
+    return calls
+
+
+def test_witness_search_asks_the_exact_oracle_first(monkeypatch):
+    """On the free backend a non-commensurable pair builds no power table;
+    a commensurable one still runs the bounded search under its u."""
+    calls = _count_powers(monkeypatch)
+    assert _witness_search(FREE, "aab", "ab", "", "", 8) is None
+    assert _witness_search(FREE, "aab", "ab", "b", "Ab", 8) is None
+    assert calls == []
+    assert _witness_search(FREE, "abab", "ab", "", "", 8) == {"s": -2, "t": -1}
+    assert calls
+    calls.clear()
+    # commensurable, but no witness under u = b: the oracle's conjugator
+    # is not u, so the bounded search decides
+    assert _witness_search(FREE, "abab", "ab", "", "b", 8) is None
+    assert calls
+
+
+class _NoOracleFree(FreeBackend):
+    def commensurate(self, a, b):
+        return None
+
+
+def test_witness_search_oracle_exit_matches_the_bounded_search():
+    """With one seeded random u = x^-1 y per acceptance-4 pair (x and y of
+    0 to 3 letters), the search that asks the oracle first answers as the
+    bounded search alone does, on every pair."""
+    bounded = _NoOracleFree(2)
+    rng = random.Random(25)
+    found = 0
+    for a, b, _ in _acceptance4_pairs():
+        x, y = ("".join(rng.choice("abAB") for _ in range(rng.randint(0, 3))) for _ in "xy")
+        witness = _witness_search(FREE, a, b, x, y, 8)
+        assert witness == _witness_search(bounded, a, b, x, y, 8), (a, b, x, y)
+        found += witness is not None
+    assert found > 20, found
+
+
 def test_witness_search_matches_pairwise_reference():
     """The search over pairs whose element keys agree finds the pairwise
     loop's witness (or none): on every commensurable acceptance-4 pair and
