@@ -47,11 +47,13 @@ grows the ball only where neither that bound nor a length floor from
 those homomorphisms decides it.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from string import ascii_letters
 
-from .freewords import _reduce, free_commensurate, inverse_word, is_cyclically_reduced
+from .freewords import _reduce, inverse_word, is_cyclically_reduced, match_roots
 from .words import primitive_root
 
 
@@ -76,6 +78,18 @@ def letter_rank(c: str) -> int:
 
 def shortlex_key(w: str):
     return (len(w), [letter_rank(c) for c in w])
+
+
+_RANK_CHARS = str.maketrans({c: chr(letter_rank(c)) for c in ascii_letters})
+
+
+def least_rotation(w: str) -> int:
+    """The i whose rotation w[i:] + w[:i] is ShortLex-least, the first of
+    tied ones (0 for the empty word).  Every rotation has w's length, so
+    shortlex_key orders them as it orders their letters, rank by rank: as
+    the strings of one character per letter rank compare, in C."""
+    ranks = w.translate(_RANK_CHARS)
+    return min(range(len(w)), key=lambda i: ranks[i:] + ranks[:i], default=0)
 
 
 def _common_prefix_len(u: str, v: str) -> int:
@@ -113,9 +127,9 @@ class _Backend:
     letters of a word checks the word once first (check_word).
 
     Capabilities:
-    - conjugacy_core(g): (conj, core) exactly, or None where the backend
-      cannot decide;
-    - elliptic_core_len: an element is loxodromic iff its conjugacy core is
+    - cyclic_core(g): (conj, core) exactly, not rotated, or None where the
+      backend cannot decide; it checks g's letters on every backend;
+    - elliptic_core_len: an element is loxodromic iff its cyclic core is
       longer than this;
     - commensurate(a, b): (witness, certificate) from an exact oracle, or
       None;
@@ -126,9 +140,10 @@ class _Backend:
       decides.  Here the key is w itself: callers pass normal forms.
 
     The code here assumes canonical normal forms that are geodesic words,
-    and its _is_new and conjugacy_core hold in free groups and free
-    products; a backend without these properties overrides them.  The
-    other capabilities default to "not available".
+    and its _is_new, cyclic_core and commensurate hold in free groups and
+    free products; a backend without these properties overrides them (a
+    backend without a core has no oracle).  The other capabilities default
+    to "not available".
     """
 
     elliptic_core_len = 0
@@ -137,9 +152,8 @@ class _Backend:
     def __init__(self, letters: list[str], aliases: str = ""):
         self.letters = letters
         self._letterset = frozenset(letters).union(aliases)
-        self._cancelling = [c + c.swapcase() for c in letters]
+        self._cancelling = re.compile("|".join(c + c.swapcase() for c in letters))
         self._ranked_letters = sorted(letters, key=letter_rank)
-        self._rank_chars = str.maketrans({c: chr(letter_rank(c)) for c in letters})
         # The ball: its elements in BFS order as ShortLex geodesics, and the
         # index of each.  Layer d is _canon[_layer_start[d]:_layer_start[d + 1]].
         self._canon: list[str] = [""]
@@ -154,9 +168,7 @@ class _Backend:
 
     def _free_reduce(self, w: str) -> str:
         self.check_word(w)
-        if not any(pair in w for pair in self._cancelling):
-            return w
-        return _reduce(w)
+        return w if self._cancelling.search(w) is None else _reduce(w)
 
     def equal(self, u: str, v: str) -> bool:
         return self.normal_form(u) == self.normal_form(v)
@@ -239,34 +251,57 @@ class _Backend:
         A stack that holds the normal form, a geodesic, has that length."""
         return len(state)
 
-    def conjugacy_core(self, g: str) -> tuple[str, str] | None:
-        """(conj, core) with conj^-1 g conj = core, core shortest in the
-        conjugacy class of g and ShortLex-least among its rotations.
+    def cyclic_core(self, g: str) -> tuple[str, str] | None:
+        """(conj, core) with conj^-1 g conj = core and core cyclically
+        reduced, hence shortest in the conjugacy class of g.  The core is
+        not rotated: conj is a prefix of g's normal form w, and conj is
+        empty iff core is w.
 
         In a free group or a free product every element is conjugate to a
         cyclically reduced word, unique up to cyclic permutation
-        (Lyndon-Schupp, Ch. IV, Sec. 1).  Letters of the normal form are
-        syllables, so the first and last ones fold together exactly when
-        their product is shorter than two letters.
-
-        Every rotation of the core has the core's length, so shortlex_key
-        orders the rotations as it orders their letters, rank by rank: as
-        the strings of one character per letter rank (_rank_chars) compare,
-        in C.  min keeps the first of tied rotations."""
-        core, conj = self.normal_form(g), ""
-        while len(core) >= 2 and len(self.mul(core[-1], core[0])) < 2:
-            conj = self.mul(conj, core[0])
-            core = self.mul(self.mul(self.inv(core[0]), core), core[0])
-        # every rotation of a cyclically reduced core is a normal form
-        ranks = core.translate(self._rank_chars)
-        i = min(range(len(core)), key=lambda i: ranks[i:] + ranks[:i], default=0)
-        return self.mul(conj, core[:i]), core[i:] + core[:i]
+        (Lyndon-Schupp, Ch. IV, Sec. 1).  One pass over w from both ends
+        finds it, with no product of words.  Letters of w are syllables,
+        so its two end letters fold together exactly when the last one
+        times the first, read onto a one-letter state, is shorter than two
+        letters.  A pair that cancels is stripped and the pass goes on.  A
+        pair that merges into one letter (two syllables of one finite
+        factor) ends it: the merged letter lies in the factor of the last
+        letter, the next first letter in the other factor."""
+        w = self.normal_form(g)
+        i, j = 0, len(w)
+        while j - i >= 2:
+            ends = [w[j - 1]]
+            self.append_letter(ends, w[i])
+            if len(ends) == 2:
+                break
+            if ends:  # w[i]^-1 w[i:j] w[i] = w[i + 1:j - 1] (w[j - 1] w[i])
+                return w[:i + 1], w[i + 1:j - 1] + ends[0]
+            i, j = i + 1, j - 1
+        return w[:i], w[i:j]
 
     def element_key(self, w: str):
         return w
 
     def commensurate(self, a: str, b: str):
-        return None
+        """Exact commensurability of loxodromic a and b: ({g, s, t} with
+        g^-1 b^t g = a^s and s > 0, or None, certificate), read off their
+        cyclic cores by freewords.match_roots, with the backend's inverse
+        (on Z/2, x is its own inverse, so not its swapcase), and verified
+        by the word problem before it is returned.  On a free group this is
+        freewords.free_commensurate's witness.  None where a core is
+        missing or at most elliptic_core_len long: elements of finite order
+        are left to the bounded search."""
+        cores = [self.cyclic_core(a), self.cyclic_core(b)]
+        if None in cores or min(len(core) for _, core in cores) <= self.elliptic_core_len:
+            return None
+        res = match_roots(*cores, self.inv)
+        if res is None:
+            return None, "exact: non-commensurable"
+        g, s, t = self.normal_form(res[0]), res[1], res[2]
+        b_t = b * t if t > 0 else inverse_word(b) * -t
+        if not self.equal(inverse_word(g) + b_t + g, a * s):
+            raise RuntimeError("witness failed to verify")
+        return {"g": g, "s": s, "t": t}, "exact"
 
     def centralizer_note(self, z: str, b: str) -> dict:
         return {}
@@ -286,15 +321,6 @@ class FreeBackend(_Backend):
 
     def normal_form(self, w: str) -> str:
         return self._free_reduce(w)
-
-    def commensurate(self, a: str, b: str):
-        """Exact commensurability: ({g, s, t} with a^s = g^-1 b^t g, or
-        None, certificate)."""
-        res = free_commensurate(self.normal_form(a), self.normal_form(b))
-        if res is None:
-            return None, "exact: non-commensurable"
-        g, s, t = res
-        return {"g": g, "s": s, "t": t}, "exact"
 
     def centralizer_note(self, z: str, b: str) -> dict:
         """Centralizers are cyclic, so z commutes with a power of b iff z is
@@ -825,8 +851,10 @@ class DehnBackend(_Backend):
                                  self.max_radius + 1)
         return n
 
-    def conjugacy_core(self, g: str) -> None:
-        # no certified cyclic Dehn reduction yet: every g stays undecided
+    def cyclic_core(self, g: str) -> None:
+        # no certified cyclic Dehn reduction yet: every g stays undecided,
+        # once its letters are checked, as on every backend
+        self.check_word(g)
         return None
 
 

@@ -3,8 +3,10 @@
 Convention: lowercase letter = generator, matching uppercase = its inverse.
 At most 26 generators.
 
-free_commensurate is the exact commensurability oracle; overlap_root, the
-periodicity lemma for two periodic lines, is read off its witness.
+free_commensurate decides commensurability of free words exactly;
+overlap_root, the periodicity lemma for two periodic lines, is read off its
+witness.  The backends' oracle (backends._Backend.commensurate) makes the
+same argument over normal forms, and on a free group gives the same witness.
 """
 
 from dataclasses import dataclass
@@ -131,7 +133,7 @@ def free_commensurate(a: str, b: str) -> tuple[str, int, int] | None:
     Returns (g, s, t) with s, t != 0 and g^-1 b^t g = a^s (as reduced words),
     or None exactly when a and b are not commensurable: that is, when the
     primitive root of a's cyclic core is no rotation of the root of b's, or
-    of its inverse.  The first such rotation gives g.
+    of its inverse (match_roots).  The first such rotation gives g.
 
     Each input is checked and reduced once; the witness is verified by
     reducing both sides of its equation.
@@ -139,26 +141,44 @@ def free_commensurate(a: str, b: str) -> tuple[str, int, int] | None:
     ra, rb = free_reduce(a), free_reduce(b)
     if not ra or not rb:
         raise FreeWordError("torsion-free group: trivial element excluded")
-    ua, core_a = _cyclic_split(ra)
-    ub, core_b = _cyclic_split(rb)
-    pa, ka = primitive_root(core_a)
-    pb, kb = primitive_root(core_b)
-    for sign in (1, -1):
-        pb_oriented = pb if sign == 1 else inverse_word(pb)
-        if len(pb_oriented) != len(pa):
-            continue
-        # the first i with rotate(pb_oriented, i) == pa
-        i = (pb_oriented * 2).find(pa)
-        if i < 0:
-            continue
-        # pa = sigma^-1 pb_oriented sigma for sigma = pb_oriented[:i]
-        sigma = pb_oriented[:i]
-        g = _reduce(ub + sigma + inverse_word(ua))
-        d = gcd(ka, kb)
-        s, t = kb // d, sign * (ka // d)
-        check = _reduce(inverse_word(g) + rb * t + g) if t > 0 else \
-            _reduce(inverse_word(g) + inverse_word(rb) * (-t) + g)
-        if check != _reduce(ra * s):
-            raise RuntimeError("witness failed to verify")
-        return g, s, t
+    res = match_roots(_cyclic_split(ra), _cyclic_split(rb), inverse_word)
+    if res is None:
+        return None
+    g, s, t = _reduce(res[0]), res[1], res[2]
+    check = _reduce(inverse_word(g) + rb * t + g) if t > 0 else \
+        _reduce(inverse_word(g) + inverse_word(rb) * (-t) + g)
+    if check != _reduce(ra * s):
+        raise RuntimeError("witness failed to verify")
+    return g, s, t
+
+
+def match_roots(split_a: tuple[str, str], split_b: tuple[str, str], inverse):
+    """(g, s, t) with g^-1 b^t g = a^s, s > 0 and t != 0, g not reduced, or
+    None where a and b are not commensurable.  split_a = (u, c) and
+    split_b = (v, d) give a = u c u^-1 and b = v d v^-1 with cyclically
+    reduced cores c and d, loxodromic ones on a free product, and inverse
+    maps a normal form to the normal form of its inverse.
+
+    Write c = p^k and d = q^l with p and q primitive.  A loxodromic core
+    begins and ends in letters that do not fold together (on a free
+    product, in different factors: a core of two or more syllables
+    alternates cyclically), and so do p and q.  So no power of them
+    cancels or merges: c^n is the normal form p^(k n), cyclically reduced,
+    and so is inverse(q).  Two cyclically reduced words are conjugate iff
+    one is a cyclic permutation of the other, letters being syllables on a
+    free product (Magnus-Karrass-Solitar, Thm 4.2; Lyndon-Schupp, Ch. IV,
+    Sec. 1), and a rotation of a power of a primitive word is that power
+    of a rotation of it.  So a^s and b^t are conjugate, s, t != 0, iff p
+    is a rotation q'[i:] + q'[:i] of q' = q or inverse(q) and k s = l |t|.
+    The first such rotation, in that order, gives the least witness:
+    s = l / gcd(k, l), |t| = k / gcd(k, l), and g = v sigma u^-1, as
+    p = sigma^-1 q' sigma for sigma = q'[:i]."""
+    (u, c), (v, d) = split_a, split_b
+    (p, k), (q, l) = primitive_root(c), primitive_root(d)
+    if len(p) == len(q):
+        for sign, q_signed in ((1, q), (-1, inverse(q))):
+            i = (q_signed * 2).find(p)
+            if i >= 0:
+                n = gcd(k, l)
+                return v + q_signed[:i] + inverse_word(u), l // n, sign * (k // n)
     return None

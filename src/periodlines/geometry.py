@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backends import BudgetExceeded
+from .backends import BudgetExceeded, least_rotation
 from .freewords import inverse_word
 
 
@@ -314,7 +314,7 @@ def classify_element(backend, g: str) -> str:
     is torsion-free (Lyndon-Schupp, Ch. V)."""
     if backend.is_identity(g):
         return "elliptic"
-    exact = backend.conjugacy_core(g)
+    exact = backend.cyclic_core(g)
     if exact is None:
         return "undecided"
     return "loxodromic" if len(exact[1]) > backend.elliptic_core_len else "elliptic"
@@ -323,11 +323,15 @@ def classify_element(backend, g: str) -> str:
 def shortest_conjugate(backend, g: str):
     """Shortest element of the conjugacy class, as (conjugator, core, cert)
     with conjugator^-1 * g * conjugator = core and the core ShortLex-least
-    among its cyclic rotations, from the backend's conjugacy core."""
-    exact = backend.conjugacy_core(g)
+    among its cyclic rotations: the backend's cyclic core, rotated.  Every
+    rotation of a cyclically reduced core is a normal form, and rotating
+    the core by its prefix p conjugates it by p."""
+    exact = backend.cyclic_core(g)
     if exact is None:
         raise GeometryError("the backend gives no conjugacy core")
-    return (*exact, "exact")
+    conj, core = exact
+    i = least_rotation(core)
+    return backend.mul(conj, core[:i]), core[i:] + core[:i], "exact"
 
 
 def injectivity_radius_estimate(backend, length_bound: int, n_max: int = 8):

@@ -4,8 +4,9 @@ algebraic witnesses, and re-verify every witness through the backend.
 
 Search bounds are experiment parameters, not claims: the statements assert
 existence of witnesses but give no bound on the exponents, so "no witness
-within bounds" is an unknown, except where an exact oracle exists (free
-backend commensurability).
+within bounds" is an unknown, except where the backend's exact oracle
+decides: commensurability of loxodromic elements on the free and free
+product backends, read off their cyclic cores (backends._Backend.commensurate).
 """
 
 import math
@@ -56,16 +57,22 @@ def require_exponent_bound(max_exponent: int) -> None:
         raise HypothesisError(f"need max_exponent >= 1, got {max_exponent}")
 
 
-def _require_loxodromic_shortest(backend, g: str, name: str) -> None:
-    # one conjugacy core decides both hypotheses; without one, g is not
-    # known to be loxodromic.  Letters are checked first, since a backend
-    # without a core does not read g.
-    backend.check_word(g)
-    exact = backend.conjugacy_core(g)
-    if exact is None or len(exact[1]) <= backend.elliptic_core_len:
+def _require_loxodromic_shortest(backend, g: str, name: str) -> int:
+    """|g|, once g's cyclic core, one normal-form pass, has shown g
+    loxodromic (the core is longer than elliptic_core_len) and shortest in
+    its class (the core is as long as g's normal form, so conj is empty:
+    on every backend with a core, normal forms are geodesics).  Without a
+    core neither hypothesis is certified, and g is refused as such."""
+    exact = backend.cyclic_core(g)
+    if exact is None:
+        raise HypothesisError(f"{name} is not certified loxodromic: "
+                              "the backend gives no conjugacy core")
+    conj, core = exact
+    if len(core) <= backend.elliptic_core_len:
         raise HypothesisError(f"{name} is not loxodromic")
-    if backend.length(exact[1])[0] < backend.length(g)[0]:
+    if conj:
         raise HypothesisError(f"{name} is not shortest in its conjugacy class")
+    return len(core)
 
 
 def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
@@ -183,10 +190,8 @@ def _b_window(backend, a: str, b: str, y: str, r: int, lo_phase: int, hi_phase: 
 
 
 def _require_theorem_hypotheses(inst: TheoremInstance) -> None:
-    backend = inst.backend
-    _require_loxodromic_shortest(backend, inst.a, "a")
-    _require_loxodromic_shortest(backend, inst.b, "b")
-    if backend.length(inst.a)[0] < backend.length(inst.b)[0]:
+    if (_require_loxodromic_shortest(inst.backend, inst.a, "a")
+            < _require_loxodromic_shortest(inst.backend, inst.b, "b")):
         raise HypothesisError("|a| must be >= |b|")
 
 

@@ -1,7 +1,7 @@
 """The injectivity radius estimator with its shortest-in-class filter: the
 reference that geometry.injectivity_radius_estimate, which keeps every
 loxodromic element, is tested against.  It reads classification and
-shortest conjugates off the backend's conjugacy core, so it runs only on
+shortest conjugates off the backend's cyclic core, so it runs only on
 backends that give one."""
 
 from periodlines.geometry import GeometryError, stable_norm_estimate
@@ -12,7 +12,7 @@ def injectivity_radius_reference(backend, length_bound, n_max=8):
     for g in backend.ball(length_bound):
         if not g:
             continue
-        _, core = backend.conjugacy_core(g)
+        _, core = backend.cyclic_core(g)
         if len(core) <= backend.elliptic_core_len:
             continue
         if backend.length(core)[0] != backend.length(g)[0]:

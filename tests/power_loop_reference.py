@@ -14,7 +14,7 @@ from fractions import Fraction
 def classify_element_reference(backend, g, n_max=12):
     if backend.is_identity(g):
         return "elliptic"
-    exact = backend.conjugacy_core(g)
+    exact = backend.cyclic_core(g)
     if exact is not None:
         return "loxodromic" if len(exact[1]) > backend.elliptic_core_len else "elliptic"
     power = ""

@@ -22,6 +22,7 @@ from periodlines.backends import (
     verify_small_cancellation,
 )
 from periodlines.freewords import free_reduce, inverse_word, is_cyclically_reduced
+from periodlines.geometry import shortest_conjugate
 from periodlines.words import primitive_root
 from ball_reference import ball_reference
 from dehn_scan_reference import ScanDehn, ScanLengths
@@ -44,33 +45,43 @@ CONFORMANCE = [FreeBackend(2), FreeProductBackend((2, 3)), DehnBackend(SURFACE_G
 
 @pytest.mark.parametrize("backend", CONFORMANCE, ids=["free", "zmzn", "dehn"])
 def test_conjugacy_core_contract(backend):
-    """conj^-1 g conj = core, no conjugate by ball(3) is shorter, and the
-    core is the ShortLex-least of its rotations; None where the backend
-    cannot decide (Dehn), with every other capability at its default."""
+    """conj^-1 g conj = core, conj is a prefix of g's normal form, empty
+    iff the core is that normal form, no conjugate by ball(3) is shorter,
+    and shortest_conjugate's core is the ShortLex-least of the core's
+    rotations; None where the backend cannot decide (Dehn), with no
+    oracle and every other capability at its default there.  The free
+    product has the exact oracle but no centralizer note or sharp mode."""
     rng = random.Random(11)
     elems = list(backend.ball(3))
     conjugators = elems if len(elems) < 200 else rng.sample(elems, 200)
     for g in rng.sample(elems, min(60, len(elems))) + [""]:
-        exact = backend.conjugacy_core(g)
+        exact = backend.cyclic_core(g)
         if type(backend) is DehnBackend:
             assert exact is None
             continue
         conj, core = exact
         assert backend.normal_form(core) == core
         assert backend.equal(backend.mul(backend.mul(backend.inv(conj), g), conj), core)
+        assert g.startswith(conj) and (conj == "") == (core == g)
         for h in conjugators:
             assert len(core) <= len(backend.mul(backend.mul(backend.inv(h), g), h))
+        least = shortest_conjugate(backend, g)[1]
         rotations = [core[i:] + core[:i] for i in range(len(core))]
-        assert all(shortlex_key(core) <= shortlex_key(w) for w in rotations)
-    if type(backend) is not FreeBackend:
-        a = backend.letters[0]
+        assert least in rotations or least == core == ""
+        assert all(shortlex_key(least) <= shortlex_key(w) for w in rotations)
+    a = backend.letters[0]
+    if type(backend) is FreeProductBackend:
+        assert backend.commensurate("xy", "yx") == ({"g": "y", "s": 1, "t": 1}, "exact")
+    if type(backend) is DehnBackend:
         assert backend.commensurate(a, a) is None
+    if type(backend) is not FreeBackend:
         assert backend.centralizer_note(a, a) == {}
         assert backend.sharp_periods is None
 
 
 def _conjugacy_core_reference(backend, g):
-    """conjugacy_core with one shortlex_key list per rotation."""
+    """The conjugacy core as the mul fold took it, one mul per step, with
+    one shortlex_key list per rotation."""
     core, conj = backend.normal_form(g), ""
     while len(core) >= 2 and len(backend.mul(core[-1], core[0])) < 2:
         conj = backend.mul(conj, core[0])
@@ -83,19 +94,24 @@ def _conjugacy_core_reference(backend, g):
                                      FreeProductBackend((3, 3))],
                          ids=["free", "zmzn23", "zmzn33"])
 def test_conjugacy_core_rotation_matches_shortlex_loop(backend):
-    """The rotation taken by comparing rank strings is the one the
-    shortlex_key loop takes, on every word of length <= 6, cores with tied
-    rotations (abab, xyxy) included: the first of the tied ones."""
+    """On every word of length <= 7, the one-pass cyclic core is the mul
+    fold's core up to rotation, with conj^-1 g conj = core checked by
+    equal, and shortest_conjugate, which rotates it by comparing rank
+    strings, gives the fold's conjugator and the rotation its shortlex_key
+    loop takes, cores with tied rotations (abab, xyxy) included: the first
+    of the tied ones."""
     tied = 0
-    for n in range(7):
+    for n in range(8):
         for g in map("".join, itertools.product(backend.letters, repeat=n)):
-            exact = backend.conjugacy_core(g)
-            assert exact == _conjugacy_core_reference(backend, g), g
-            core = exact[1]
+            conj, core = backend.cyclic_core(g)
+            ref_conj, ref_core = _conjugacy_core_reference(backend, g)
+            assert len(core) == len(ref_core) and core in ref_core * 2, g
+            assert backend.equal(backend.mul(backend.mul(backend.inv(conj), g), conj), core), g
+            assert shortest_conjugate(backend, g) == (ref_conj, ref_core, "exact"), g
             tied += len({core[i:] + core[:i] for i in range(len(core))}) < len(core)
     assert tied > 10
     period = "ab" if type(backend) is FreeBackend else "xy"
-    assert backend.conjugacy_core(period * 2) == ("", period * 2)
+    assert shortest_conjugate(backend, period * 2) == ("", period * 2, "exact")
 
 
 def _centralizer_note_reference(backend, z, b):

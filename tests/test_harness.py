@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from periodlines.harness import (
     _witness_search,
     weak_theorem_check,
 )
-from periodlines.freewords import is_cyclically_reduced, overlap_root, rotate
+from periodlines.freewords import free_commensurate, is_cyclically_reduced, overlap_root, rotate
 from commensurability_reference import commensurability_reference
 from period_threshold_reference import period_threshold_reference
 from witness_search_reference import witness_search_reference
@@ -55,7 +56,8 @@ def test_lemma41_requires_shortest():
     for backend, b, msg in ((FREE, "Bab", "b is not shortest in its conjugacy class"),
                             (FP, "y", "b is not loxodromic"),  # elliptic
                             (FREE, "", "b is not loxodromic"),
-                            (dehn, "ab", "b is not loxodromic")):  # undecided
+                            (dehn, "ab", "b is not certified loxodromic: "
+                                         "the backend gives no conjugacy core")):
         with pytest.raises(HypothesisError) as exc:
             lemma41_check(backend, b, "", "", window=4, r=0)
         assert str(exc.value) == msg
@@ -63,9 +65,9 @@ def test_lemma41_requires_shortest():
     class CountingFree(FreeBackend):
         cores = 0
 
-        def conjugacy_core(self, g):
+        def cyclic_core(self, g):
             self.cores += 1
-            return super().conjugacy_core(g)
+            return super().cyclic_core(g)
 
     # one conjugacy core decides both hypotheses on b
     free = CountingFree(2)
@@ -82,6 +84,28 @@ def test_hypotheses_check_letters_first(backend):
         lemma41_check(backend, bad, "", "", window=4, r=0)
     with pytest.raises(BackendError, match="^letter 'q' not in generating set$"):
         empirical_period_threshold(backend, bad, backend.letters[0], "", "", 0)
+
+
+@pytest.mark.parametrize("backend", [FreeBackend(2), FreeProductBackend((2, 3))],
+                         ids=["free", "zmzn"])
+def test_hypotheses_make_no_mul_or_length_call(backend, monkeypatch):
+    """Both hypotheses are read off the cyclic core, one normal-form pass
+    per element: no product, no length, on shortest loxodromic words and
+    on words refused for either hypothesis."""
+    calls = []
+    for name in ("mul", "length"):
+        monkeypatch.setattr(backend, name, lambda *args, _name=name: calls.append(_name))
+    words = (["ab", "aab", "abAB", "a", "Bab", ""] if type(backend) is FreeBackend
+             else ["xy", "xyxY", "yxyx", "xyx", "yxyxy", ""])
+    answers = []
+    for g in words:
+        try:
+            answers.append(harness._require_loxodromic_shortest(backend, g, "b"))
+        except HypothesisError as exc:
+            answers.append(str(exc))
+    assert calls == []
+    assert "b is not shortest in its conjugacy class" in answers
+    assert "b is not loxodromic" in answers and answers[0] == 2
 
 
 def test_lemma41_window_gate_with_profile():
@@ -174,7 +198,8 @@ def test_commensurability_search_free_exact():
 
 
 def test_commensurability_search_bounded():
-    witness, cert = commensurability_search(FP, "xy", "yx", max_exponent=3,
+    # Z/2*Z/3 answers loxodromic pairs by its oracle; without it, bounded
+    witness, cert = commensurability_search(_NoOracleFP((2, 3)), "xy", "yx", max_exponent=3,
                                             conjugator_bound=2)
     assert witness is not None and cert.startswith("bounded")
     g, s, t = witness["g"], witness["s"], witness["t"]
@@ -190,9 +215,10 @@ def test_commensurability_search_matches_candidate_loop():
     certificate: on every ordered pair of Z/2*Z/3 words of length 1 to 3
     (finite-order ones too, whose powers repeat and whose trivial powers
     both sides drop) at bounds (3, 2), where powers match as identical
-    normal forms, and at (3, 1) on genus-2 pairs (w^2, w) and (w, c),
-    |w| <= 2, c a letter, where Dehn-reduced powers are bucketed by their
-    exponent sums.  Where no key agrees, the search asks no equal."""
+    normal forms, on a Z/2*Z/3 without the exact oracle, and at (3, 1) on
+    genus-2 pairs (w^2, w) and (w, c), |w| <= 2, c a letter, where
+    Dehn-reduced powers are bucketed by their exponent sums.  Where no key
+    agrees, the search asks no equal."""
     class Counting(DehnBackend):
         calls = 0
 
@@ -203,17 +229,18 @@ def test_commensurability_search_matches_candidate_loop():
     dehn = DehnBackend(SURFACE_GENUS2)
     fp_words = ["".join(w) for n in (1, 2, 3) for w in itertools.product("xyY", repeat=n)]
     dehn_words = ["".join(w) for n in (1, 2) for w in itertools.product(dehn.letters, repeat=n)]
-    cases = [(FP, a, b, 3, 2) for a in fp_words for b in fp_words]
+    fp = _NoOracleFP((2, 3))
+    cases = [(fp, a, b, 3, 2) for a in fp_words for b in fp_words]
     cases += [(dehn, w * 2, w, 3, 1) for w in dehn_words]
     cases += [(dehn, w, c, 3, 1) for w in dehn_words for c in dehn.letters]
-    found = {FP: 0, dehn: 0}
+    found = {fp: 0, dehn: 0}
     for backend, a, b, n, bound in cases:
         if backend.is_identity(a) or backend.is_identity(b):
             continue
         got = commensurability_search(backend, a, b, n, bound)
         assert got == commensurability_reference(backend, a, b, n, bound), (a, b)
         found[backend] += got[0] is not None
-    assert found[FP] > 400 and found[dehn] == 64 + 32, found
+    assert found[fp] > 400 and found[dehn] == 64 + 32, found
     counting = Counting(SURFACE_GENUS2)
     assert commensurability_search(counting, "ab", "ac", 8, 2) == \
         (None, "not found within bounds (8,2)")
@@ -252,7 +279,7 @@ def test_commensurability_search_refuses_a_bound_past_the_budget():
 
 
 def test_commensurability_search_reverifies_bounded_witness():
-    class Disagreeing(FreeProductBackend):
+    class Disagreeing(_NoOracleFP):
         def equal(self, u, v):  # the conjugation-form check refuses every hit
             return False
 
@@ -260,11 +287,18 @@ def test_commensurability_search_reverifies_bounded_witness():
         commensurability_search(Disagreeing((2, 3)), "xy", "yx", max_exponent=3,
                                 conjugator_bound=2)
 
+    class DisagreeingOracle(FreeProductBackend):
+        def equal(self, u, v):  # the oracle's word-problem check refuses its witness
+            return False
+
+    with pytest.raises(RuntimeError, match="^witness failed to verify$"):
+        commensurability_search(DisagreeingOracle((2, 3)), "xy", "yx")
+
 
 def test_commensurability_search_bounded_hit_makes_one_equal_call():
-    """On Z/2*Z/3 the lookup by normal form finds the hit; the one equal
-    call is its re-verification."""
-    class Counting(FreeProductBackend):
+    """On Z/2*Z/3 without the oracle the lookup by normal form finds the
+    hit; the one equal call is its re-verification."""
+    class Counting(_NoOracleFP):
         calls = 0
 
         def equal(self, u, v):
@@ -413,10 +447,35 @@ class _NoOracleFree(FreeBackend):
         return None
 
 
+class _NoOracleFP(FreeProductBackend):
+    def commensurate(self, a, b):
+        return None
+
+
+def _zmzn_core(w):
+    """The cyclic core of w in Z/2*Z/3 from reference normal forms:
+    conjugate by the first letter while that shortens the word."""
+    w = zmzn_normal_form((2, 3), w)
+    while len(w) >= 2 and len(zmzn_normal_form((2, 3), w[1:] + w[0])) < len(w):
+        w = zmzn_normal_form((2, 3), w[1:] + w[0])
+    return w
+
+
+def _zmzn_loxodromic(max_syllables):
+    """The loxodromic Z/2*Z/3 normal forms of 2 to max_syllables
+    syllables, shortest in their class or not: those whose core keeps two
+    syllables or more."""
+    words = {zmzn_normal_form((2, 3), w) for n in range(2, max_syllables + 1)
+             for w in map("".join, itertools.product("xyY", repeat=n))}
+    return sorted((w for w in words if 2 <= len(w) <= max_syllables and len(_zmzn_core(w)) >= 2),
+                  key=lambda w: (len(w), w))
+
+
 def test_witness_search_oracle_exit_matches_the_bounded_search():
     """With one seeded random u = x^-1 y per acceptance-4 pair (x and y of
     0 to 3 letters), the search that asks the oracle first answers as the
-    bounded search alone does, on every pair."""
+    bounded search alone does, on every pair; and so on 3,000 seeded
+    Z/2*Z/3 instances of loxodromic a and b of up to 5 syllables."""
     bounded = _NoOracleFree(2)
     rng = random.Random(25)
     found = 0
@@ -426,6 +485,68 @@ def test_witness_search_oracle_exit_matches_the_bounded_search():
         assert witness == _witness_search(bounded, a, b, x, y, 8), (a, b, x, y)
         found += witness is not None
     assert found > 20, found
+    bounded = _NoOracleFP((2, 3))
+    lox = _zmzn_loxodromic(5)
+    found = 0
+    for _ in range(3000):
+        a, b = rng.choice(lox), rng.choice(lox)
+        x, y = ("".join(rng.choice("xyY") for _ in range(rng.randint(0, 3))) for _ in "xy")
+        witness = _witness_search(FP, a, b, x, y, 8)
+        assert witness == _witness_search(bounded, a, b, x, y, 8), (a, b, x, y)
+        found += witness is not None
+    assert found > 100, found
+
+
+def _zmzn_commensurable_reference(a, b):
+    """Commensurability of loxodromic Z/2*Z/3 elements from reference
+    normal forms and cyclic permutations: cyclically reduce each by
+    conjugating with its first letter while that shortens it, and ask
+    whether the core powers of equal length lcm(|c|, |d|), c^(l / |c|)
+    and d^(l / |d|) or its inverse, are cyclic permutations of each
+    other."""
+    c, d = _zmzn_core(a), _zmzn_core(b)
+    n = len(c) * len(d) // math.gcd(len(c), len(d))
+    d_power = d * (n // len(d))
+    return any(len(p) == n and p in (c * (n // len(c))) * 2
+               for p in (d_power, zmzn_normal_form((2, 3), d_power[::-1].swapcase())))
+
+
+def test_zmzn_oracle_matches_the_reference():
+    """On every pair of loxodromic Z/2*Z/3 normal forms of up to 6
+    syllables, the oracle is exact, agrees with the reference, and every
+    witness verifies by reference normal forms; it never answers
+    "non-commensurable" where the bounded search (8, 2) finds a witness."""
+    lox = _zmzn_loxodromic(6)
+    bounded = _NoOracleFP((2, 3))
+    verdicts = {True: 0, False: 0}
+    for a in lox:
+        for b in lox:
+            witness, cert = FP.commensurate(a, b)
+            commensurable = _zmzn_commensurable_reference(a, b)
+            assert (witness is not None) == commensurable, (a, b)
+            assert cert == ("exact" if commensurable else "exact: non-commensurable")
+            verdicts[commensurable] += 1
+            if commensurable:
+                g, s, t = witness["g"], witness["s"], witness["t"]
+                assert s > 0 and t
+                assert _z2z3(_z2z3(g, -1) + _z2z3(b, t) + g) == _z2z3(a, s), (a, b, witness)
+            else:
+                assert commensurability_search(bounded, a, b, 8, 2)[0] is None, (a, b)
+    assert len(lox) == 36 and verdicts == {True: 504, False: 792}, verdicts
+
+
+def test_free_oracle_matches_free_commensurate():
+    """On every pair of nontrivial elements of length <= 5 of the free
+    group of rank 2, the backend's oracle returns free_commensurate's
+    witness, byte for byte, and "non-commensurable" exactly where it
+    returns None."""
+    elements = [w for w in FREE.ball(5) if w]
+    for a in elements:
+        for b in elements:
+            res = free_commensurate(a, b)
+            expected = ((None, "exact: non-commensurable") if res is None
+                        else ({"g": res[0], "s": res[1], "t": res[2]}, "exact"))
+            assert FREE.commensurate(a, b) == expected, (a, b)
 
 
 def test_witness_search_matches_pairwise_reference():
