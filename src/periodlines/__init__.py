@@ -4,7 +4,6 @@ quasi-geodesics on Cayley graphs of concrete groups."""
 from .words import border_array, fine_wilf_root, period_lengths, primitive_root
 from .freewords import (
     cyclic_reduce,
-    free_commensurate,
     free_reduce,
     inverse_word,
     line_window,

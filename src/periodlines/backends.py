@@ -180,7 +180,11 @@ class _Backend:
         return self.normal_form(u + v)
 
     def inv(self, w: str) -> str:
-        return self.normal_form(inverse_word(w))
+        try:
+            return self.normal_form(inverse_word(w))
+        except BackendError:
+            self.check_word(w)  # name a bad letter as written, not as in w^-1
+            raise
 
     def length(self, g: str) -> tuple[int, str]:
         try:
@@ -287,10 +291,11 @@ class _Backend:
         g^-1 b^t g = a^s and s > 0, or None, certificate), read off their
         cyclic cores by freewords.match_roots, with the backend's inverse
         (on Z/2, x is its own inverse, so not its swapcase), and verified
-        by the word problem before it is returned.  On a free group this is
-        freewords.free_commensurate's witness.  None where a core is
-        missing or at most elliptic_core_len long: elements of finite order
-        are left to the bounded search."""
+        by the word problem before it is returned.  This is the library's
+        one exact commensurability oracle; freewords.overlap_root compares
+        the roots of cyclically reduced free words the same way.  None
+        where a core is missing or at most elliptic_core_len long: elements
+        of finite order are left to the bounded search."""
         cores = [self.cyclic_core(a), self.cyclic_core(b)]
         if None in cores or min(len(core) for _, core in cores) <= self.elliptic_core_len:
             return None
@@ -688,10 +693,18 @@ class DehnBackend(_Backend):
         return self.dehn_reduce(w) == ""
 
     def equal(self, u: str, v: str) -> bool:
-        return self.is_identity(u + inverse_word(v))
+        try:
+            return self.is_identity(u + inverse_word(v))
+        except BackendError:
+            self.check_word(u + v)  # name a bad letter as written, not as in u v^-1
+            raise
 
     def inv(self, w: str) -> str:
-        return self.dehn_reduce(inverse_word(w))
+        try:
+            return self.dehn_reduce(inverse_word(w))
+        except BackendError:
+            self.check_word(w)  # name a bad letter as written, not as in w^-1
+            raise
 
     def mul(self, u: str, v: str) -> str:
         return self.dehn_reduce(u + v)

@@ -3,10 +3,10 @@
 Convention: lowercase letter = generator, matching uppercase = its inverse.
 At most 26 generators.
 
-free_commensurate decides commensurability of free words exactly;
-overlap_root, the periodicity lemma for two periodic lines, is read off its
-witness.  The backends' oracle (backends._Backend.commensurate) makes the
-same argument over normal forms, and on a free group gives the same witness.
+overlap_root is the periodicity lemma for two periodic lines, read off the
+words' primitive roots by match_roots.  The library's commensurability
+oracle, backends._Backend.commensurate (FreeBackend(rank).commensurate on a
+free group), makes the same root comparison over normal forms.
 """
 
 from dataclasses import dataclass
@@ -51,19 +51,13 @@ def is_reduced(w: str) -> bool:
 
 
 def is_cyclically_reduced(w: str) -> bool:
-    if not is_reduced(w):
-        return False
-    return len(w) < 2 or w[0] != w[-1].swapcase()
+    return is_reduced(w) and (len(w) < 2 or w[0] != w[-1].swapcase())
 
 
 def cyclic_reduce(w: str) -> tuple[str, str]:
     """Return (u, core) with free_reduce(w) = u * core * u^-1 and core
     cyclically reduced."""
-    return _cyclic_split(free_reduce(w))
-
-
-def _cyclic_split(r: str) -> tuple[str, str]:
-    """cyclic_reduce for a reduced word r."""
+    r = free_reduce(w)
     k = 0
     while len(r) - 2 * k >= 2 and r[k] == r[-1 - k].swapcase():
         k += 1
@@ -107,49 +101,29 @@ def overlap_root(a: str, b: str) -> OverlapRoot | None:
     when they share no subword of length |a|+|b|.
 
     In a free group the lines share such a subword exactly when a and b are
-    commensurable (Fine-Wilf; Lyndon-Schupp, Ch. I), so the root is read off
-    the witness (g, s, t) of free_commensurate.  For cyclically reduced
-    words g is the prefix of b's root, or of its inverse when t < 0, whose
-    rotation is a's root c.
+    commensurable (Fine-Wilf; Lyndon-Schupp, Ch. I), that is, when the
+    primitive root c of a is a rotation of b's root or of its inverse.
+    a and b are their own cyclic cores, so match_roots compares the words
+    as given, and its g is the prefix of b's root, or of its inverse when
+    t < 0, whose rotation is c.  The root is checked by rotating a and b
+    onto powers of c before it is returned.
     """
     for w, name in ((a, "a"), (b, "b")):
         if not w or not is_cyclically_reduced(w):
             raise FreeWordError(f"{name} must be nonempty and cyclically reduced")
-    res = free_commensurate(a, b)
+    check_letters(a + b)
+    res = match_roots(("", a), ("", b), inverse_word)
     if res is None:
         return None
     g, _, t = res
     c, exp_a = primitive_root(a)
-    exp_b = len(b) // len(c)
-    if t > 0:
-        return OverlapRoot(c, 0, len(g), exp_a, exp_b)
-    # rotate(b^-1, |g|) = c^exp_b, so rotate(b, -|g|) = (c^-1)^exp_b
-    return OverlapRoot(c, 0, -len(g) % len(c), exp_a, -exp_b)
-
-
-def free_commensurate(a: str, b: str) -> tuple[str, int, int] | None:
-    """Decide commensurability in the free group.
-
-    Returns (g, s, t) with s, t != 0 and g^-1 b^t g = a^s (as reduced words),
-    or None exactly when a and b are not commensurable: that is, when the
-    primitive root of a's cyclic core is no rotation of the root of b's, or
-    of its inverse (match_roots).  The first such rotation gives g.
-
-    Each input is checked and reduced once; the witness is verified by
-    reducing both sides of its equation.
-    """
-    ra, rb = free_reduce(a), free_reduce(b)
-    if not ra or not rb:
-        raise FreeWordError("torsion-free group: trivial element excluded")
-    res = match_roots(_cyclic_split(ra), _cyclic_split(rb), inverse_word)
-    if res is None:
-        return None
-    g, s, t = _reduce(res[0]), res[1], res[2]
-    check = _reduce(inverse_word(g) + rb * t + g) if t > 0 else \
-        _reduce(inverse_word(g) + inverse_word(rb) * (-t) + g)
-    if check != _reduce(ra * s):
-        raise RuntimeError("witness failed to verify")
-    return g, s, t
+    n = len(b) // len(c)
+    # for t < 0, rotate(b^-1, |g|) = c^n, so rotate(b, -|g|) = (c^-1)^n
+    shift_b, c_b = (len(g), c) if t > 0 else (-len(g) % len(c), inverse_word(c))
+    root = OverlapRoot(c, 0, shift_b, exp_a, n if t > 0 else -n)
+    if rotate(a, root.shift_a) != c * exp_a or rotate(b, root.shift_b) != c_b * n:
+        raise RuntimeError("overlap root failed to verify")
+    return root
 
 
 def match_roots(split_a: tuple[str, str], split_b: tuple[str, str], inverse):

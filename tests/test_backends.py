@@ -275,6 +275,17 @@ def test_dist_names_a_bad_letter_as_written(spec, word):
             backend.dist(u, v)
 
 
+@pytest.mark.parametrize("call,args", [("inv", ("QZ",)), ("equal", ("", "QZ")),
+                                       ("equal", ("QZ", "W"))],
+                         ids=["inv", "equal-v", "equal-u"])
+@pytest.mark.parametrize("backend", CONFORMANCE, ids=["free", "zmzn", "dehn"])
+def test_inv_and_equal_name_a_bad_letter_as_written(backend, call, args):
+    # inv reads w^-1, and Dehn's equal u v^-1, yet the first bad letter is
+    # named as the caller wrote it, u before v, as dist names it
+    with pytest.raises(BackendError, match="^letter 'Q' not in generating set$"):
+        getattr(backend, call)(*args)
+
+
 def test_parse_presentation():
     p = parse_presentation("# surface\ngens: a,b,c,d\nrel: abABcdCD\n")
     assert p == SURFACE_GENUS2

@@ -1,13 +1,13 @@
 import itertools
-from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from periodlines import freewords
+from periodlines.backends import FreeBackend
 from periodlines.freewords import (
     FreeWordError,
     cyclic_reduce,
-    free_commensurate,
     free_reduce,
     inverse_word,
     is_cyclically_reduced,
@@ -17,7 +17,9 @@ from periodlines.freewords import (
     rotate,
 )
 from periodlines.words import primitive_root
+from free_commensurate_reference import reference_free_oracle
 
+FREE = FreeBackend(2)
 LETTERS = "abAB"
 WORDS = st.text(alphabet=LETTERS, max_size=12)
 
@@ -112,6 +114,34 @@ def test_overlap_root_rejects_unreduced():
         overlap_root("aA", "b")
 
 
+@pytest.mark.parametrize("a,b,wrong", [
+    ("ab", "ba", ("", 1, 1)),    # a rotation that misses b's root
+    ("ab", "ba", ("b", 1, -1)),  # the right rotation, the wrong orientation
+    ("ab", "BA", ("", 1, 1)),
+])
+def test_overlap_root_checks_the_roots_it_is_given(monkeypatch, a, b, wrong):
+    # overlap_root checks its root by rotation, not by trusting match_roots
+    assert overlap_root(a, b) is not None
+    monkeypatch.setattr(freewords, "match_roots", lambda *args: wrong)
+    with pytest.raises(RuntimeError, match="^overlap root failed to verify$"):
+        overlap_root(a, b)
+
+
+def test_overlap_root_agrees_with_the_free_oracle():
+    """The lemma across the two layers: on every pair of cyclically
+    reduced words of length <= 5, the lines share a root exactly when the
+    backend's oracle calls a and b commensurable."""
+    words = [w for n in range(1, 6) for w in map("".join, itertools.product(LETTERS, repeat=n))
+             if is_cyclically_reduced(w)]
+    found = 0
+    for a in words:
+        for b in words:
+            shared = overlap_root(a, b) is not None
+            assert shared == (FREE.commensurate(a, b)[0] is not None), (a, b)
+            found += shared
+    assert found > len(words)
+
+
 def _verify_commensurate(a, b, g, s, t):
     ra, rb = free_reduce(a), free_reduce(b)
     bt = rb * t if t > 0 else inverse_word(rb) * (-t)
@@ -119,15 +149,23 @@ def _verify_commensurate(a, b, g, s, t):
     assert free_reduce(inverse_word(g) + bt + g) == free_reduce(as_)
 
 
+def _free_oracle(a, b):
+    """FreeBackend(2).commensurate, checked against the reference, as
+    (g, s, t) or None."""
+    witness, cert = FREE.commensurate(a, b)
+    assert (witness, cert) == reference_free_oracle(a, b), (a, b)
+    return None if witness is None else (witness["g"], witness["s"], witness["t"])
+
+
 def test_free_commensurate_examples():
-    g, s, t = free_commensurate("ab", "baba")
+    g, s, t = _free_oracle("ab", "baba")
     assert s == 2 and t == 1
     _verify_commensurate("ab", "baba", g, s, t)
-    assert free_commensurate("ab", "aabb") is None
-    g, s, t = free_commensurate("ab", "AB")
+    assert _free_oracle("ab", "aabb") is None
+    g, s, t = _free_oracle("ab", "AB")
     _verify_commensurate("ab", "AB", g, s, t)
-    with pytest.raises(FreeWordError):
-        free_commensurate("aA", "b")
+    # the trivial element is left to the bounded search
+    assert FREE.commensurate("aA", "b") is None
 
 
 @given(st.text(alphabet=LETTERS, min_size=1, max_size=4),
@@ -138,14 +176,15 @@ def test_free_commensurate_detects_conjugate_powers(a, conj, k):
         return
     ak = a * k if k > 0 else inverse_word(a) * (-k)
     b = free_reduce(conj + ak + inverse_word(conj))
-    res = free_commensurate(a, b)
+    res = _free_oracle(a, b)
     assert res is not None
     _verify_commensurate(a, b, *res)
 
 
-# Reference copies of the first overlap_root (a scan of every relative offset
-# of the two lines, in both orientations of b) and free_commensurate (a loop
-# over every rotation); the derived versions must agree with them exactly.
+# A reference copy of the first overlap_root (a scan of every relative offset
+# of the two lines, in both orientations of b); the derived version must
+# agree with it exactly, and the backend's oracle with
+# free_commensurate_reference.
 
 def _reference_powers_match(u, v, length):
     return (u * (length // len(u) + 1))[:length] == (v * (length // len(v) + 1))[:length]
@@ -170,29 +209,11 @@ def reference_overlap_root(a, b):
     return None
 
 
-def reference_free_commensurate(a, b):
-    ra, rb = free_reduce(a), free_reduce(b)
-    ua, core_a = cyclic_reduce(ra)
-    ub, core_b = cyclic_reduce(rb)
-    pa, ka = primitive_root(core_a)
-    pb, kb = primitive_root(core_b)
-    for sign in (1, -1):
-        pb_oriented = pb if sign == 1 else inverse_word(pb)
-        if len(pb_oriented) != len(pa):
-            continue
-        for i in range(len(pb_oriented)):
-            if rotate(pb_oriented, i) == pa:
-                g = free_reduce(ub + pb_oriented[:i] + inverse_word(ua))
-                d = gcd(ka, kb)
-                return g, kb // d, sign * (ka // d)
-    return None
-
-
 def _assert_matches_references(a, b):
     res = overlap_root(a, b)
     got = None if res is None else (res.c, res.shift_a, res.shift_b, res.exp_a, res.exp_b)
     assert got == reference_overlap_root(a, b), (a, b)
-    assert free_commensurate(a, b) == reference_free_commensurate(a, b), (a, b)
+    assert FREE.commensurate(a, b) == reference_free_oracle(a, b), (a, b)
 
 
 def test_overlap_root_matches_reference_exhaustive():
@@ -212,10 +233,10 @@ CYCLIC_ROOTS = st.text(alphabet=LETTERS, min_size=1, max_size=12).filter(is_cycl
 def test_overlap_root_matches_reference_on_root_powers(root, ka, kb, i, j, inverse, other, conj):
     # a and b are rotations of powers of one root, b possibly of its
     # inverse; the unrelated word checks the negative answers too, and the
-    # conjugate of a the free_commensurate conjugators
+    # conjugate of a the oracle's conjugators
     a = rotate(root * ka, i)
     b = rotate((inverse_word(root) if inverse else root) * kb, j)
     _assert_matches_references(a, b)
     _assert_matches_references(a, other)
     a_conj = free_reduce(conj + a + inverse_word(conj))
-    assert free_commensurate(a_conj, b) == reference_free_commensurate(a_conj, b)
+    assert FREE.commensurate(a_conj, b) == reference_free_oracle(a_conj, b)

@@ -26,8 +26,9 @@ from periodlines.harness import (
     _witness_search,
     weak_theorem_check,
 )
-from periodlines.freewords import free_commensurate, is_cyclically_reduced, overlap_root, rotate
+from periodlines.freewords import is_cyclically_reduced, overlap_root, rotate
 from commensurability_reference import commensurability_reference
+from free_commensurate_reference import reference_free_oracle
 from period_threshold_reference import period_threshold_reference
 from witness_search_reference import witness_search_reference
 from zmzn_reference import zmzn_normal_form
@@ -535,18 +536,16 @@ def test_zmzn_oracle_matches_the_reference():
     assert len(lox) == 36 and verdicts == {True: 504, False: 792}, verdicts
 
 
-def test_free_oracle_matches_free_commensurate():
+def test_free_oracle_matches_the_reference():
     """On every pair of nontrivial elements of length <= 5 of the free
-    group of rank 2, the backend's oracle returns free_commensurate's
-    witness, byte for byte, and "non-commensurable" exactly where it
-    returns None."""
+    group of rank 2, the backend's oracle returns the rotation loop's
+    witness (tests/free_commensurate_reference.py), byte for byte, and
+    "non-commensurable" exactly where the loop finds none."""
     elements = [w for w in FREE.ball(5) if w]
+    assert len(elements) == 484
     for a in elements:
         for b in elements:
-            res = free_commensurate(a, b)
-            expected = ((None, "exact: non-commensurable") if res is None
-                        else ({"g": res[0], "s": res[1], "t": res[2]}, "exact"))
-            assert FREE.commensurate(a, b) == expected, (a, b)
+            assert FREE.commensurate(a, b) == reference_free_oracle(a, b), (a, b)
 
 
 def test_witness_search_matches_pairwise_reference():

@@ -119,10 +119,16 @@ words.gcd = lambda p, q: 1
 words.is_period = lambda z, p: True
 words.fine_wilf_root("ababab", 2, 4)
 """),
-    "free_commensurate": ("RuntimeError: witness failed to verify", """
+    "commensurate": ("RuntimeError: witness failed to verify", """
 from periodlines import freewords
+from periodlines.backends import FreeBackend
 freewords.gcd = lambda p, q: 2
-freewords.free_commensurate("ab", "abab")
+FreeBackend(2).commensurate("ab", "abab")
+"""),
+    "overlap_root": ("RuntimeError: overlap root failed to verify", """
+from periodlines import freewords
+freewords.match_roots = lambda *args: ("", 1, 1)
+freewords.overlap_root("ab", "ba")
 """),
     "r_base": ("periodlines.constants.ProfileError: 2*delta + 2*mu = 1/2", """
 import dataclasses
