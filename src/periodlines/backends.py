@@ -53,7 +53,7 @@ from fractions import Fraction
 from math import lcm
 from string import ascii_letters
 
-from .freewords import _reduce, inverse_word, is_cyclically_reduced, match_roots
+from .freewords import _reduce, inverse_word, is_cyclically_reduced, match_roots, power_word
 from .words import primitive_root
 
 
@@ -131,8 +131,9 @@ class _Backend:
       backend cannot decide; it checks g's letters on every backend;
     - elliptic_core_len: an element is loxodromic iff its cyclic core is
       longer than this;
-    - commensurate(a, b): (witness, certificate) from an exact oracle, or
-      None;
+    - commensurate(a, b, cores=None): (witness, certificate) from an exact
+      oracle, or None; a caller that has read the cyclic cores of a and b
+      hands them in;
     - centralizer_note(z, b): extra lemma 4.1 details, or {};
     - sharp_periods: the exact period threshold at r = 0, or None;
     - element_key(w): equal for equal elements.  Two words with equal
@@ -286,27 +287,52 @@ class _Backend:
     def element_key(self, w: str):
         return w
 
-    def commensurate(self, a: str, b: str):
-        """Exact commensurability of loxodromic a and b: ({g, s, t} with
-        g^-1 b^t g = a^s and s > 0, or None, certificate), read off their
-        cyclic cores by freewords.match_roots, with the backend's inverse
-        (on Z/2, x is its own inverse, so not its swapcase), and verified
-        by the word problem before it is returned.  This is the library's
-        one exact commensurability oracle; freewords.overlap_root compares
-        the roots of cyclically reduced free words the same way.  None
-        where a core is missing or at most elliptic_core_len long: elements
-        of finite order are left to the bounded search."""
-        cores = [self.cyclic_core(a), self.cyclic_core(b)]
-        if None in cores or min(len(core) for _, core in cores) <= self.elliptic_core_len:
+    def commensurate(self, a: str, b: str, cores=None):
+        """Exact commensurability of a and b: ({g, s, t} with
+        g^-1 b^t g = a^s, a^s nontrivial and s > 0, or None, certificate),
+        or None where this oracle cannot decide.  cores are
+        (cyclic_core(a), cyclic_core(b)), read here unless the caller has
+        read them already.  This is the library's one exact
+        commensurability oracle.
+
+        Loxodromic a and b are compared by the primitive roots of their
+        cores (freewords.match_roots, as freewords.overlap_root compares
+        cyclically reduced free words), with the backend's inverse (on Z/2,
+        x is its own inverse, so not its swapcase), and the witness is
+        verified by the word problem before it is returned.
+
+        A core at most elliptic_core_len long, but not empty, is one
+        syllable: the element has finite order and lies in a conjugate of
+        that syllable's factor (Lyndon-Schupp, Ch. IV, Sec. 1).  Its
+        nontrivial powers have finite order and stay in that conjugate,
+        and conjugates of different factors meet trivially.  So an element
+        of finite order is not commensurable with one of infinite order,
+        nor with one in a conjugate of the other factor; two syllables of
+        one factor fold together, as in cyclic_core.  A commensurable pair
+        of finite order, like a missing core (Dehn) or a trivial element,
+        gets None and is left to the bounded search."""
+        if cores is None:
+            cores = self.cyclic_core(a), self.cyclic_core(b)
+        if None in cores:
             return None
-        res = match_roots(*cores, self.inv)
-        if res is None:
-            return None, "exact: non-commensurable"
-        g, s, t = self.normal_form(res[0]), res[1], res[2]
-        b_t = b * t if t > 0 else inverse_word(b) * -t
-        if not self.equal(inverse_word(g) + b_t + g, a * s):
-            raise RuntimeError("witness failed to verify")
-        return {"g": g, "s": s, "t": t}, "exact"
+        (_, c), (_, d) = cores
+        elliptic = self.elliptic_core_len
+        if len(c) > elliptic and len(d) > elliptic:
+            res = match_roots(*cores, self.inv)
+            if res is None:
+                return None, "exact: non-commensurable"
+            g, s, t = self.normal_form(res[0]), res[1], res[2]
+            if not self.equal(inverse_word(g) + power_word(b, t) + g, a * s):
+                raise RuntimeError("witness failed to verify")
+            return {"g": g, "s": s, "t": t}, "exact"
+        if not (c and d):
+            return None
+        if len(c) <= elliptic and len(d) <= elliptic:
+            ends = [c]
+            self.append_letter(ends, d)
+            if len(ends) < 2:
+                return None
+        return None, "exact: non-commensurable"
 
     def centralizer_note(self, z: str, b: str) -> dict:
         return {}

@@ -29,6 +29,11 @@ def inverse_word(w: str) -> str:
     return w[::-1].swapcase()
 
 
+def power_word(w: str, n: int) -> str:
+    """A word for w^n: n copies of w, or |n| of inverse_word(w) for n < 0."""
+    return w * n if n >= 0 else inverse_word(w) * -n
+
+
 def free_reduce(w: str) -> str:
     """Unique reduced word equal to w in the free group."""
     check_letters(w)

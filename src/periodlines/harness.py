@@ -4,16 +4,23 @@ algebraic witnesses, and re-verify every witness through the backend.
 
 Search bounds are experiment parameters, not claims: the statements assert
 existence of witnesses but give no bound on the exponents, so "no witness
-within bounds" is an unknown, except where the backend's exact oracle
-decides: commensurability of loxodromic elements on the free and free
-product backends, read off their cyclic cores (backends._Backend.commensurate).
+within bounds" is an unknown, except where the answer is exact.  On the
+free and free product backends the oracle backends._Backend.commensurate
+decides commensurability from cyclic cores (of loxodromic elements, and
+of an element of finite order against one of infinite order or of another
+factor), and the theorems' witness (x^-1 y) b^s (y^-1 x) = a^t for
+loxodromic a and b is read off a's primitive root (_witness_search): there
+"no witness" means none at all, or none with exponents within the bound.
 """
 
 import math
 from dataclasses import dataclass, field
+from math import gcd
 
 from .geometry import GeometryError, neighborhood_contains, neighborhood_profile, periodic_line
 from .constants import AcylUnavailable, C_and_f, F_of_r, K_of_r, k_trim
+from .freewords import inverse_word, power_word
+from .words import primitive_root
 
 
 class HypothesisError(ValueError):
@@ -57,12 +64,14 @@ def require_exponent_bound(max_exponent: int) -> None:
         raise HypothesisError(f"need max_exponent >= 1, got {max_exponent}")
 
 
-def _require_loxodromic_shortest(backend, g: str, name: str) -> int:
-    """|g|, once g's cyclic core, one normal-form pass, has shown g
-    loxodromic (the core is longer than elliptic_core_len) and shortest in
-    its class (the core is as long as g's normal form, so conj is empty:
-    on every backend with a core, normal forms are geodesics).  Without a
-    core neither hypothesis is certified, and g is refused as such."""
+def _require_loxodromic_shortest(backend, g: str, name: str) -> tuple[str, str]:
+    """g's cyclic core ("", core), once it, one normal-form pass, has shown
+    g loxodromic (the core is longer than elliptic_core_len) and shortest
+    in its class (the core is as long as g's normal form, so conj is empty:
+    on every backend with a core, normal forms are geodesics), so that
+    |g| = len(core).  Callers hand the core on to _witness_search, which
+    then reads no core again.  Without a core neither hypothesis is
+    certified, and g is refused as such."""
     exact = backend.cyclic_core(g)
     if exact is None:
         raise HypothesisError(f"{name} is not certified loxodromic: "
@@ -72,7 +81,7 @@ def _require_loxodromic_shortest(backend, g: str, name: str) -> int:
         raise HypothesisError(f"{name} is not loxodromic")
     if conj:
         raise HypothesisError(f"{name} is not shortest in its conjugacy class")
-    return len(core)
+    return exact
 
 
 def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
@@ -129,24 +138,75 @@ def _powers(backend, g: str, n: int) -> dict[int, str]:
     return out
 
 
-def _witness_search(backend, a: str, b: str, x: str, y: str, max_exponent: int):
-    """{s, t} with (x^-1 y) b^s (y^-1 x) = a^t by _conjugate_powers, or None.
-    y's letters are checked before x's, so a bad letter in both is named
-    from y.
+def _witness_search(backend, a: str, b: str, x: str, y: str, max_exponent: int,
+                    cores=None):
+    """{s, t} with (x^-1 y) b^s (y^-1 x) = a^t and 0 < |s|, |t| <=
+    max_exponent, the least by |s| + |t|, then s ascending, then t positive
+    first, or None.  y's letters are checked before x's, so a bad letter
+    in both is named from y.  cores are (cyclic_core(a), cyclic_core(b)),
+    read here unless the caller has read them already.
 
-    The backend's exact oracle is asked first.  u b^s u^-1 = a^t with s,
-    t != 0 makes a and b commensurable through u^-1, and every caller has
-    required a and b to be loxodromic, so their powers are nontrivial: an
-    exact "non-commensurable" rules out every (s, t) at every u and bound,
-    and no power is built.  Without an oracle, or for a commensurable pair
-    (whose oracle conjugator need not be u), the bounded search runs."""
+    For loxodromic a and b with cores (free and free product backends)
+    the answer is exact and builds no power.  Let u = x^-1 y, (w, core) be
+    a's cyclic core, core = rho^k with the word rho primitive, and
+    c = w^-1 (u b u^-1) w.
+    - u b^s u^-1 = a^t with s, t != 0 makes a and b commensurable, as
+      powers of loxodromic elements are nontrivial: where the oracle
+      (backend.commensurate) says they are not, no (s, t) exists.
+    - Conjugating by w, u b^s u^-1 = a^t iff c^s = core^t = rho^(k t).
+    - The centralizer of a loxodromic element, such as a nonzero power of
+      rho, is infinite cyclic (Lyndon-Schupp, Ch. I, Prop. 2.17;
+      Magnus-Karrass-Solitar, Cor. 4.1.6).  It holds rho, so it is
+      generated by an h with rho = h^e.  Conjugate h to a cyclically
+      reduced h': rho and h'^e, whose normal form is h' e times (powers
+      of a loxodromic core neither cancel nor merge), are conjugate
+      cyclically reduced words, so rho is a rotation of h' e times, a
+      proper power unless e = +-1.  So that centralizer is <rho>.
+    - So if c^s = rho^(k t), which is nontrivial, c commutes with it and
+      c = rho^j, j != 0 as b is loxodromic.  Conversely c = rho^j gives
+      c^s = rho^(k t) iff j s = k t, rho having infinite order.  The normal
+      form of rho^j is rho's word j times, or inv(rho)'s -j times, both
+      cyclically reduced and loxodromic, so c's normal form decides j.
+    - The solutions of j s = k t, s, t != 0, are m (k, j) / g for
+      g = gcd(k, |j|) and m != 0.  |s| + |t| grows with |m|, and m = -1
+      has the smaller s: the least is (s, t) = (-k / g, -j / g), and where
+      it exceeds max_exponent, so does every other.
+    Elsewhere (no core, as on Dehn, an a or b of finite order, whose
+    trivial powers count here, or no oracle) the bounded search
+    _conjugate_powers runs over a's power table.  Either witness is
+    re-verified by the word problem as u^-1 a^t u = b^s, on powers built
+    for it alone."""
     backend.check_word(y)
     backend.check_word(x)
-    exact = backend.commensurate(a, b)
-    if exact is not None and exact[0] is None:
+    if cores is None:
+        cores = backend.cyclic_core(a), backend.cyclic_core(b)
+    exact = None
+    if None not in cores and min(len(cores[0][1]), len(cores[1][1])) > backend.elliptic_core_len:
+        exact = backend.commensurate(a, b, cores)
+    if exact is None:
+        u = backend.mul(backend.inv(x), y)
+        return _conjugate_powers(backend, _powers(backend, a, max_exponent), b, u, max_exponent)
+    if exact[0] is None:
         return None
-    u = backend.mul(backend.inv(x), y)
-    return _conjugate_powers(backend, _powers(backend, a, max_exponent), b, u, max_exponent)
+    (w, core), _ = cores
+    rho, k = primitive_root(core)
+    # c = w^-1 u b u^-1 w, and below u^-1 a^t u, for u = x^-1 y
+    c = backend.normal_form(inverse_word(x + w) + y + b + inverse_word(y) + x + w)
+    n = len(c) // len(rho)
+    if c == rho * n:
+        j = n
+    elif c == backend.inv(rho) * n:
+        j = -n
+    else:
+        return None
+    g = gcd(k, n)
+    if max(k, n) // g > max_exponent:
+        return None
+    s, t = -k // g, -j // g
+    if not backend.equal(inverse_word(y) + x + power_word(a, t) + inverse_word(x) + y,
+                         power_word(b, s)):
+        raise RuntimeError("witness failed re-verification")
+    return {"s": s, "t": t}
 
 
 def _conjugate_powers(backend, powers_a: dict, b: str, u: str, max_exponent: int):
@@ -189,14 +249,18 @@ def _b_window(backend, a: str, b: str, y: str, r: int, lo_phase: int, hi_phase: 
     return periodic_line(backend, y, b, lo, hi)
 
 
-def _require_theorem_hypotheses(inst: TheoremInstance) -> None:
-    if (_require_loxodromic_shortest(inst.backend, inst.a, "a")
-            < _require_loxodromic_shortest(inst.backend, inst.b, "b")):
+def _require_theorem_hypotheses(inst: TheoremInstance) -> tuple:
+    """The cyclic cores of a and b, once both are loxodromic and shortest
+    in their classes and |a| >= |b|."""
+    cores = (_require_loxodromic_shortest(inst.backend, inst.a, "a"),
+             _require_loxodromic_shortest(inst.backend, inst.b, "b"))
+    if len(cores[0][1]) < len(cores[1][1]):
         raise HypothesisError("|a| must be >= |b|")
+    return cores
 
 
 def _overlap_witness(inst: TheoremInstance, r: int, first_phase: int,
-                     min_periods: int) -> HarnessResult:
+                     min_periods: int, cores) -> HarnessResult:
     """The step both theorems share: if phases [first_phase, first_phase + n]
     of L(x, a), n = max(min_periods, 2), lie in the r-neighborhood of the
     L(y, b) window over the same phases, search for the witness."""
@@ -209,7 +273,7 @@ def _overlap_witness(inst: TheoremInstance, r: int, first_phase: int,
     if not neighborhood_contains(p, q, r, backend):
         return HarnessResult("hypothesis-failed", None,
                              {**details, "reason": "a-line window not in r-neighborhood of b-line"})
-    witness = _witness_search(backend, inst.a, inst.b, inst.x, inst.y, inst.max_exponent)
+    witness = _witness_search(backend, inst.a, inst.b, inst.x, inst.y, inst.max_exponent, cores)
     if witness is None:
         return HarnessResult("no-witness-within-bounds", None, details)
     return HarnessResult("witness", witness, details)
@@ -225,12 +289,12 @@ def weak_theorem_check(inst: TheoremInstance, profile=None,
     require_exponent_bound(inst.max_exponent)
     if min_periods is not None and min_periods < 1:
         raise HypothesisError(f"need min_periods >= 1, got {min_periods}")
-    _require_theorem_hypotheses(inst)
+    cores = _require_theorem_hypotheses(inst)
     if min_periods is None:
         if profile is None:
             raise HypothesisError("need a profile or an explicit period count")
         min_periods = F_of_r(profile, inst.r)
-    return _overlap_witness(inst, inst.r, 0, min_periods)
+    return _overlap_witness(inst, inst.r, 0, min_periods, cores)
 
 
 def main_theorem_check(inst: TheoremInstance, profile=None,
@@ -261,8 +325,8 @@ def main_theorem_check(inst: TheoremInstance, profile=None,
         raise AcylUnavailable("inconsistent profile: trimming eats too many periods")
     details = {"f(r)": str(f(inst.r)), "k": k, "r_base": r_base,
                "trimmed_periods": trimmed}
-    _require_theorem_hypotheses(inst)
-    res = _overlap_witness(inst, r_base, k, trimmed)
+    cores = _require_theorem_hypotheses(inst)
+    res = _overlap_witness(inst, r_base, k, trimmed, cores)
     res.details.update(details)
     return res
 
@@ -313,12 +377,12 @@ def empirical_period_threshold(backend, a: str, b: str, x: str, y: str, r: int,
     change it: the witness search, which needs no budget, runs first, and
     only where it finds a witness are the two lines built and swept."""
     require_overlap_parameter(r)
-    _require_loxodromic_shortest(backend, a, "a")
-    _require_loxodromic_shortest(backend, b, "b")
+    cores = (_require_loxodromic_shortest(backend, a, "a"),
+             _require_loxodromic_shortest(backend, b, "b"))
     if max_periods < 1:
         raise GeometryError("need max_periods >= 1")
     require_exponent_bound(max_exponent)
-    if _witness_search(backend, a, b, x, y, max_exponent) is None:
+    if _witness_search(backend, a, b, x, y, max_exponent, cores) is None:
         return None
     q = _b_window(backend, a, b, y, r, -max_periods, 2 * max_periods)
     p = periodic_line(backend, x, a, -max_periods, max_periods + 1)

@@ -72,11 +72,14 @@ def fine_wilf_root(z: str, p: int, q: int) -> str:
 
 
 def primitive_root(w: str) -> tuple[str, int]:
-    """Decompose w = c**k with k maximal; c is then not a proper power."""
+    """Decompose w = c**k with k maximal; c is then not a proper power.
+    |c| is the least i > 0 with w[i:] + w[:i] == w, the first index past 0
+    at which w occurs in w + w (a search in C).  A rotation by i that fixes
+    w gives w[j] = w[(j + i) mod n], so w is a power of w[:d] for
+    d = gcd(i, n), and the rotation by d <= i fixes w too: d = i by
+    minimality.  A root shorter than i would give a smaller rotation."""
     n = len(w)
     if n == 0:
         raise PeriodError("empty word has no primitive root")
-    for d in range(1, n + 1):
-        if n % d == 0 and w == w[:d] * (n // d):
-            return w[:d], n // d
-    raise AssertionError("unreachable")
+    i = (w + w).find(w, 1)
+    return w[:i], n // i

@@ -72,9 +72,11 @@ def test_commensurate(capsys):
 
 def test_commensurate_needs_nontrivial_powers(capsys):
     # x^2 = y^3 = 1 in Z/2*Z/3, but that common power is trivial
+    # and x and y lie in conjugates of different factors, which the oracle
+    # knows without a search
     code, rec = run_json(capsys, ["commensurate", "--backend", "zmzn:2,3", "--a", "x", "--b", "y"])
     assert code == 2 and rec["result"] == {"witness": None}
-    assert rec["certificate"] == "not found within bounds (8,4)"
+    assert rec["certificate"] == "exact: non-commensurable"
 
 
 def test_delta(capsys):

@@ -26,7 +26,7 @@ from periodlines.harness import (
     _witness_search,
     weak_theorem_check,
 )
-from periodlines.freewords import is_cyclically_reduced, overlap_root, rotate
+from periodlines.freewords import is_cyclically_reduced, overlap_root, power_word, rotate
 from commensurability_reference import commensurability_reference
 from free_commensurate_reference import reference_free_oracle
 from period_threshold_reference import period_threshold_reference
@@ -35,6 +35,14 @@ from zmzn_reference import zmzn_normal_form
 
 FREE = FreeBackend(2)
 FP = FreeProductBackend((2, 3))
+
+
+class _CountingCores(FreeBackend):
+    cores = 0
+
+    def cyclic_core(self, g):
+        self.cores += 1
+        return super().cyclic_core(g)
 
 
 def test_lemma41_coinciding_lines():
@@ -63,15 +71,8 @@ def test_lemma41_requires_shortest():
             lemma41_check(backend, b, "", "", window=4, r=0)
         assert str(exc.value) == msg
 
-    class CountingFree(FreeBackend):
-        cores = 0
-
-        def cyclic_core(self, g):
-            self.cores += 1
-            return super().cyclic_core(g)
-
     # one conjugacy core decides both hypotheses on b
-    free = CountingFree(2)
+    free = _CountingCores(2)
     assert lemma41_check(free, "ab", "", "ab", window=6, r=2).status == "witness"
     assert free.cores == 1
 
@@ -106,7 +107,7 @@ def test_hypotheses_make_no_mul_or_length_call(backend, monkeypatch):
             answers.append(str(exc))
     assert calls == []
     assert "b is not shortest in its conjugacy class" in answers
-    assert "b is not loxodromic" in answers and answers[0] == 2
+    assert "b is not loxodromic" in answers and answers[0] == ("", words[0])
 
 
 def test_lemma41_window_gate_with_profile():
@@ -250,9 +251,16 @@ def test_commensurability_search_matches_candidate_loop():
 
 def test_commensurability_search_needs_nontrivial_powers():
     """x^2 = y^3 = 1 in Z/2*Z/3 is no witness: the bounded search drops
-    trivial powers.  x is commensurable with itself through x^-1 = x,
+    trivial powers, and the oracle knows x and y lie in conjugates of
+    different factors.  x is commensurable with itself through x^-1 = x,
     the first pair in the search order."""
-    assert commensurability_search(FP, "x", "y") == (None, "not found within bounds (8,4)")
+    assert commensurability_search(FP, "x", "y") == (None, "exact: non-commensurable")
+    assert commensurability_search(_NoOracleFP((2, 3)), "x", "y") == \
+        (None, "not found within bounds (8,4)")
+    # yxY lies in a conjugate of x's factor, and xy has infinite order
+    assert FP.commensurate("yxY", "Y") == (None, "exact: non-commensurable")
+    assert FP.commensurate("x", "xy") == (None, "exact: non-commensurable")
+    assert FP.commensurate("yxY", "x") is None
     assert commensurability_search(FP, "x", "x") == ({"g": "", "s": -1, "t": 1}, "bounded(8,4)")
     assert commensurability_search(FP, "y", "Y", 3, 2) == \
         ({"g": "", "s": -1, "t": 1}, "bounded(3,2)")
@@ -428,28 +436,46 @@ def _count_powers(monkeypatch):
 
 
 def test_witness_search_asks_the_exact_oracle_first(monkeypatch):
-    """On the free backend a non-commensurable pair builds no power table;
-    a commensurable one still runs the bounded search under its u."""
+    """On the free backend no power table is built: the oracle answers a
+    non-commensurable pair, and a's root a commensurable one under its u.
+    On genus 2, which has no core, the bounded search builds its tables."""
     calls = _count_powers(monkeypatch)
     assert _witness_search(FREE, "aab", "ab", "", "", 8) is None
     assert _witness_search(FREE, "aab", "ab", "b", "Ab", 8) is None
-    assert calls == []
     assert _witness_search(FREE, "abab", "ab", "", "", 8) == {"s": -2, "t": -1}
-    assert calls
-    calls.clear()
-    # commensurable, but no witness under u = b: the oracle's conjugator
-    # is not u, so the bounded search decides
+    # BABA = (ab)^-2: j = -2 over inv(rho) = BA, and (BABA)^-1 = (ab)^2
+    assert _witness_search(FREE, "ab", "BABA", "", "", 8) == {"s": -1, "t": 2}
+    # commensurable, but no witness under u = b: b (ab) b^-1 = ba is no
+    # power of the root ab
     assert _witness_search(FREE, "abab", "ab", "", "b", 8) is None
+    # the least witness (s, t) = (-2, -1) is cut off by the bound
+    assert _witness_search(FREE, "abab", "ab", "", "", 1) is None
+    assert calls == []
+    dehn = DehnBackend(SURFACE_GENUS2)
+    assert _witness_search(dehn, "abab", "ab", "", "", 8) == {"s": -2, "t": -1}
     assert calls
+
+
+@pytest.mark.parametrize("a, b", [("abab", "ab"), ("aab", "ab")])
+def test_statements_read_each_core_once(a, b):
+    """The hypotheses hand the cores they read on to the witness search and
+    the oracle: one threshold op and one weak theorem check on free:2 each
+    make 2 cyclic_core calls, commensurable pair or not."""
+    free = _CountingCores(2)
+    empirical_period_threshold(free, a, b, "", "", 1)
+    assert free.cores == 2
+    free = _CountingCores(2)
+    weak_theorem_check(TheoremInstance(free, a, b, "", "", 0), min_periods=2)
+    assert free.cores == 2
 
 
 class _NoOracleFree(FreeBackend):
-    def commensurate(self, a, b):
+    def commensurate(self, a, b, cores=None):
         return None
 
 
 class _NoOracleFP(FreeProductBackend):
-    def commensurate(self, a, b):
+    def commensurate(self, a, b, cores=None):
         return None
 
 
@@ -474,9 +500,10 @@ def _zmzn_loxodromic(max_syllables):
 
 def test_witness_search_oracle_exit_matches_the_bounded_search():
     """With one seeded random u = x^-1 y per acceptance-4 pair (x and y of
-    0 to 3 letters), the search that asks the oracle first answers as the
-    bounded search alone does, on every pair; and so on 3,000 seeded
-    Z/2*Z/3 instances of loxodromic a and b of up to 5 syllables."""
+    0 to 3 letters), the exact search (the oracle, then a's root) answers
+    as the bounded search alone does, which runs where the oracle is
+    missing, on every pair; and so on 3,000 seeded Z/2*Z/3 instances of
+    loxodromic a and b of up to 5 syllables."""
     bounded = _NoOracleFree(2)
     rng = random.Random(25)
     found = 0
@@ -536,6 +563,28 @@ def test_zmzn_oracle_matches_the_reference():
     assert len(lox) == 36 and verdicts == {True: 504, False: 792}, verdicts
 
 
+@pytest.mark.parametrize("orders", [(2, 3), (3, 3)], ids=["zmzn:2,3", "zmzn:3,3"])
+def test_oracle_on_finite_order_matches_the_bounded_search(orders):
+    """On every pair of nontrivial elements of length <= 4, one of them of
+    finite order, the oracle answers "non-commensurable" exactly where the
+    bounded search (8, 2) finds no witness, and leaves the others, two
+    elements of finite order in conjugates of one factor, to it."""
+    fp = FreeProductBackend(orders)
+    bounded = _NoOracleFP(orders)
+    elements = [w for w in fp.ball(4) if w]
+    finite = {w for w in elements if len(fp.cyclic_core(w)[1]) == 1}
+    verdicts = {True: 0, False: 0}
+    for a in elements:
+        for b in elements:
+            if a in finite or b in finite:
+                exact = fp.commensurate(a, b)
+                assert exact in (None, (None, "exact: non-commensurable")), (a, b)
+                found = commensurability_search(bounded, a, b, 8, 2)[0] is not None
+                assert (exact is None) == found, (a, b)
+                verdicts[found] += 1
+    assert verdicts[True] >= 25 and verdicts[False] >= 200, verdicts
+
+
 def test_free_oracle_matches_the_reference():
     """On every pair of nontrivial elements of length <= 5 of the free
     group of rank 2, the backend's oracle returns the rotation loop's
@@ -593,3 +642,43 @@ def test_witness_search_matches_pairwise_reference():
         assert witness == witness_search_reference(dehn, a, b, x, y, n), (a, b, x, y, n)
         found += witness is not None
     assert found > 50
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (3, 3)], ids=["zmzn:2,2", "zmzn:3,3"])
+def test_root_witness_matches_pairwise_reference(orders):
+    """The witness read off a's root is the pairwise loop's, on seeded
+    loxodromic a = p rho^k p^-1 and b = q rho^l q^-1 (p mostly nonempty,
+    so a is not cyclically reduced and its core has a conjugator) or b
+    random, under a u = x^-1 y that aligns them (y = x p q^-1) or a random
+    one.  At max_exponent 1 and 2 the bound cuts off some least witnesses
+    that max_exponent 8 finds.  In Z/2*Z/2 a loxodromic normal form
+    alternates x and y with even length, so it is its own core: only
+    Z/3*Z/3 gives a conjugator."""
+    fp = FreeProductBackend(orders)
+    rng = random.Random(28)
+
+    def word(lo, hi):
+        return fp.normal_form("".join(rng.choice(fp.letters) for _ in range(rng.randint(lo, hi))))
+
+    found, cut, conjugated = 0, 0, 0
+    for _ in range(600):
+        rho, p, q, x = word(2, 4), word(0, 2), word(0, 2), word(0, 2)
+        if len(fp.cyclic_core(rho)[1]) < 2:
+            continue
+        a = fp.normal_form(p + rho * rng.randint(1, 3) + fp.inv(p))
+        b = fp.normal_form(q + power_word(rho, rng.choice((1, 2, 3, -1, -2, -3))) + fp.inv(q))
+        if rng.random() < 0.2:
+            b = word(2, 5)
+        y = fp.normal_form(x + p + fp.inv(q)) if rng.random() < 0.8 else word(0, 3)
+        if len(fp.cyclic_core(b)[1]) < 2:
+            continue
+        conjugated += fp.cyclic_core(a)[0] != ""
+        witnesses = []
+        for n in (1, 2, 8):
+            witness = _witness_search(fp, a, b, x, y, n)
+            assert witness == witness_search_reference(fp, a, b, x, y, n), (a, b, x, y, n)
+            witnesses.append(witness)
+        found += witnesses[-1] is not None
+        cut += witnesses[0] is None and witnesses[-1] is not None
+    assert found > 150 and cut > 50, (found, cut)
+    assert conjugated > 50 or orders == (2, 2), conjugated

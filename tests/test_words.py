@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -105,6 +106,24 @@ def test_primitive_root_of_power(w, k):
     assert primitive_root(c) == (c, 1)
 
 
+def _primitive_root_loop(w):
+    """The least d dividing |w| with w = w[:d] * (|w| / d), by trying each
+    d in turn: the reference for primitive_root's rotation search."""
+    n = len(w)
+    d = next(d for d in range(1, n + 1) if n % d == 0 and w == w[:d] * (n // d))
+    return w[:d], n // d
+
+
+def test_primitive_root_matches_the_loop():
+    """Every word of length 1 to 12 over {a, b} and 1 to 7 over {a, A, b}."""
+    for letters, longest in (("ab", 12), ("aAb", 7)):
+        for n in range(1, longest + 1):
+            for w in map("".join, itertools.product(letters, repeat=n)):
+                assert primitive_root(w) == _primitive_root_loop(w), w
+    with pytest.raises(PeriodError):
+        primitive_root("")
+
+
 # Each snippet breaks one internal invariant; the check must still raise the
 # named error when python -O strips assert statements.
 BROKEN_INVARIANTS = {
@@ -129,6 +148,12 @@ FreeBackend(2).commensurate("ab", "abab")
 from periodlines import freewords
 freewords.match_roots = lambda *args: ("", 1, 1)
 freewords.overlap_root("ab", "ba")
+"""),
+    "root_witness": ("RuntimeError: witness failed re-verification", """
+from periodlines import harness
+from periodlines.backends import FreeBackend
+harness.gcd = lambda p, q: 2
+harness._witness_search(FreeBackend(2), "abab", "ab", "", "", 8)
 """),
     "r_base": ("periodlines.constants.ProfileError: 2*delta + 2*mu = 1/2", """
 import dataclasses
