@@ -488,8 +488,9 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(gens, tuple(rels))
 
 
-def longest_pieces(p: Presentation) -> list[int]:
-    """For each relator, the length of the longest piece it contains.
+def longest_pieces(p: Presentation, occ: list[str] | None = None) -> list[int]:
+    """For each relator, the length of the longest piece it contains.  occ
+    is p.symmetrized_occurrences(), built here unless the caller has.
 
     A piece is a common prefix of two distinct occurrences in the symmetrized
     closure (occurrences in cyclic words correspond to prefixes of cyclic
@@ -499,7 +500,8 @@ def longest_pieces(p: Presentation) -> list[int]:
     a relator overlapping itself completely, sort next to each other and
     share a piece of full length.
     """
-    occ = p.symmetrized_occurrences()
+    if occ is None:
+        occ = p.symmetrized_occurrences()
     owner = [i for i, rel in enumerate(p.relators) for _ in range(2 * len(rel))]
     order = sorted(range(len(occ)), key=occ.__getitem__)
     longest = [0] * len(p.relators)
@@ -510,11 +512,14 @@ def longest_pieces(p: Presentation) -> list[int]:
     return longest
 
 
-def verify_small_cancellation(p: Presentation, lambda_denominator: int) -> bool:
+def verify_small_cancellation(p: Presentation, lambda_denominator: int,
+                              pieces: list[int] | None = None) -> bool:
     """True iff every piece is strictly shorter than 1/lambda_denominator of
-    each relator containing it (see longest_pieces)."""
-    return all(piece * lambda_denominator < len(rel)
-               for rel, piece in zip(p.relators, longest_pieces(p)))
+    each relator containing it.  pieces is longest_pieces(p), computed here
+    unless the caller has."""
+    if pieces is None:
+        pieces = longest_pieces(p)
+    return all(piece * lambda_denominator < len(rel) for rel, piece in zip(p.relators, pieces))
 
 
 def _integer_kernel(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
@@ -546,10 +551,11 @@ def _integer_kernel(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]
     return basis
 
 
-def one_cell_bound(p: Presentation) -> int:
+def one_cell_bound(p: Presentation, pieces: list[int] | None = None) -> int:
     """L2 = 2 min over relators r of (|r| - p(r)), p(r) the longest piece in
-    r.  Under C'(1/6), every nonempty cyclically reduced trivial word shorter
-    than L2 is a symmetrized relator.  On genus 2, L2 = 2 (8 - 1) = 14.
+    r (pieces, as in verify_small_cancellation).  Under C'(1/6), every
+    nonempty cyclically reduced trivial word shorter than L2 is a
+    symmetrized relator.  On genus 2, L2 = 2 (8 - 1) = 14.
 
     Proof, by the curvature count of Lyndon-Schupp (Combinatorial Group
     Theory, Ch. V, Sec. 3-4).  Let w be cyclically reduced and trivial, and
@@ -583,7 +589,9 @@ def one_cell_bound(p: Presentation) -> int:
     curvature.  So the perimeter is at least 6 min (|r| - p(r)) / 3 = L2.
     Two octagons sharing one edge show that the bound is sharp on genus 2.
     """
-    return 2 * min(len(rel) - piece for rel, piece in zip(p.relators, longest_pieces(p)))
+    if pieces is None:
+        pieces = longest_pieces(p)
+    return 2 * min(len(rel) - piece for rel, piece in zip(p.relators, pieces))
 
 
 class DehnBackend(_Backend):
@@ -621,12 +629,17 @@ class DehnBackend(_Backend):
     """
 
     def __init__(self, presentation: Presentation, max_radius: int = 4):
-        if not verify_small_cancellation(presentation, 6):
+        # One sort of the symmetrized occurrences gives the pieces, which
+        # decide C'(1/6) and L2.  A repeated occurrence is a piece of full
+        # length, so on an accepted presentation occ is symmetrized().
+        occ = presentation.symmetrized_occurrences()
+        pieces = longest_pieces(presentation, occ)
+        if not verify_small_cancellation(presentation, 6, pieces):
             raise BackendError("presentation is not C'(1/6); Dehn backend refused")
         self.presentation = presentation
         self.max_radius = max_radius
         super().__init__([c for g in presentation.generators for c in (g, g.upper())])
-        self._l2 = one_cell_bound(presentation)
+        self._l2 = one_cell_bound(presentation, pieces)
         # Replacement rules: a subword covering more than half of a
         # symmetrized relator rho = s t is replaced by the shorter t^-1.  Only
         # the shortest such s (|s| = |rho| // 2 + 1) is a key: every longer
@@ -637,7 +650,7 @@ class DehnBackend(_Backend):
         # t^-1, the one-cell rewrites of _member.  A shared key would be a
         # piece of half a relator, so each key has one value.
         self._halves: dict[str, str] = {}
-        for rho in presentation.symmetrized():
+        for rho in occ:
             h = len(rho) // 2
             self._rules[rho[:h + 1]] = inverse_word(rho[h + 1:])
             if len(rho) % 2 == 0:

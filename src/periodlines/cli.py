@@ -1,6 +1,11 @@
 """Command line interface: every operation as a subcommand with
 machine-readable output.
 
+The subcommands are one table, COMMANDS.  A call builds one parser, its
+own command's, and parses its arguments once; the full parser, with a
+subparsers action over the table, is built only for what it alone
+prints: the top-level help and the top-level usage errors.
+
 Handlers compute and return (exit code, result) or (exit code, result,
 certificate); main loads --profile, calls the handler and writes the run
 record once, so every subcommand's record is built in one place.
@@ -340,28 +345,36 @@ COMMANDS = {
 }
 
 
-def build_parser(names=COMMANDS) -> _Parser:
-    """The parser with the named subcommands, all by default."""
+def _add_command(p: _Parser, name: str) -> None:
+    """Give p the options and defaults of the command name."""
+    func, _, options = COMMANDS[name]
+    p.set_defaults(command=name, func=func, parser=p)
+    p.add_argument("--json", action="store_true", help="emit a JSON record")
+    p.add_argument("--out", help="write the JSON record to a file")
+    for option, keywords in options.items():
+        p.add_argument(option, **keywords)
+
+
+def build_parser() -> _Parser:
+    """The full parser, one subcommand per COMMANDS entry."""
     parser = _Parser(prog="periodlines")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        func, help_text, options = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func, parser=p)
-        p.add_argument("--json", action="store_true", help="emit a JSON record")
-        p.add_argument("--out", help="write the JSON record to a file")
-        for option, keywords in options.items():
-            p.add_argument(option, **keywords)
+    for name, (_, help_text, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # A call builds only its own subcommand's parser.  The full one prints
-    # the top-level help and the top-level usage errors: no command, an
-    # unknown one, and arguments that the subcommand does not know.
+    # A call builds only its own command's parser, with the prog that the
+    # full parser gives that subcommand, and parses its arguments once.
+    # The full parser prints the top-level help and the top-level usage
+    # errors: no command, an unknown one, and arguments that the command
+    # does not know.
     if argv and argv[0] in COMMANDS:
-        args, unknown = build_parser(argv[:1]).parse_known_args(argv)
+        parser = _Parser(prog=f"periodlines {argv[0]}")
+        _add_command(parser, argv[0])
+        args, unknown = parser.parse_known_args(argv[1:])
         if unknown:
             build_parser().parse_args(argv)
     else:

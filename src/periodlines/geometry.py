@@ -92,7 +92,9 @@ def periodic_line(backend, x: str, a: str, n_min: int, n_max: int) -> PathInGrap
         start = backend.mul(start, step * abs(n_min))
     path = path_from_word(backend, start, wa * (n_max - n_min))
     path.phase_indices = [i * len(wa) for i in range(n_max - n_min + 1)]
-    path.period_element = backend.normal_form(a)
+    # geodesic_word succeeds on Dehn only inside the ball, where it is
+    # normal_form's canonical word; elsewhere the two are one function
+    path.period_element = wa
     return path
 
 
@@ -200,12 +202,16 @@ def _twice_slimness(backend, tri, dist, sides) -> int:
     ordered corner pair (u, v) to the vertices of the ShortLex geodesic
     side S from u to v, their set, and a dict of the N(x, S) found so far.
     An N(x, S) is stored only after all of its distances have been asked,
-    so a memo hit skips only pairs that dist was already asked.  No edge of a side beats worst where 2 max N(x) + 1 <= worst, so that
-    side's edge loop is skipped."""
+    so a memo hit skips only pairs that dist was already asked.  No edge of
+    a side beats worst where 2 max N(x) + 1 <= worst, so that side's edge
+    loop is skipped.  A side's label is geodesic_word of the word u^-1 v,
+    with no mul or inv first: each backend reduces a word in one stack
+    pass, which a reduced prefix leaves as it is, so that is the word
+    geodesic_word(mul(inv(u), v)) gives."""
     a, b, c = tri
     for u, v in (a, b), (b, c), (c, a):
         if (u, v) not in sides:
-            w = backend.geodesic_word(backend.mul(backend.inv(u), v))
+            w = backend.geodesic_word(inverse_word(u) + v)
             verts = path_from_word(backend, u, w).vertices
             sides[u, v] = (verts, set(verts), {})
     s0, s1, s2 = sides[a, b], sides[b, c], sides[c, a]

@@ -87,9 +87,20 @@ def _require_loxodromic_shortest(backend, g: str, name: str) -> tuple[str, str]:
 def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
                   profile=None, max_exponent: int = 8) -> HarnessResult:
     """Parallel b-periodic lines: if finite window subpaths of L(x_p, b) and
-    L(x_q, b) have both endpoint pairs within r, search for n != 0 such that
-    the phase difference element centralizes b^n.  A window below 1 is
-    refused before b is classified or a line is built."""
+    L(x_q, b) have both endpoint pairs within r, look for n != 0 with
+    0 < n <= max_exponent such that the phase difference element z
+    centralizes b^n.  A window below 1 is refused before b is classified or
+    a line is built.
+
+    One commutation, z b = b z, decides every n.  b passed
+    _require_loxodromic_shortest, so the backend has a core (free or free
+    product) and b is loxodromic there.  The centralizer C(g) of a
+    loxodromic g is infinite cyclic (see _witness_search), and b^n, n != 0,
+    is loxodromic too.  So C(b^n) = <h> holds b, b = h^e, and h commutes
+    with b: C(b^n) lies in C(b), which lies in C(b^n).  Hence z commutes
+    with b^n iff it commutes with b: the witness, where there is one, is
+    n = 1, the least n, and where n = 1 fails, every n fails.  So
+    max_exponent, refused below 1, changes no answer."""
     require_overlap_parameter(r)
     require_exponent_bound(max_exponent)
     if window < 1:
@@ -112,16 +123,13 @@ def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
                              {**details, "reason": "endpoints farther than r"})
     # A = phase vertex of the q-line, B = phase vertex of the p-line
     z = backend.mul(backend.inv(backend.normal_form(x_q)), backend.normal_form(x_p))
-    powers = _powers(backend, b, max_exponent)
-    for n in range(1, max_exponent + 1):
-        bn = powers[n]
-        if backend.equal(backend.mul(z, bn), backend.mul(bn, z)):
-            # re-verify via the conjugation form before emitting
-            if not backend.equal(backend.mul(backend.mul(backend.inv(z), bn), z), bn):
-                raise RuntimeError("witness failed re-verification")
-            details.update(backend.centralizer_note(z, b))
-            return HarnessResult("witness", {"n": n, "element": z}, details)
-    return HarnessResult("no-witness-within-bounds", None, details)
+    if not backend.equal(backend.mul(z, b), backend.mul(b, z)):
+        return HarnessResult("no-witness-within-bounds", None, details)
+    # re-verify via the conjugation form before emitting
+    if not backend.equal(backend.mul(backend.mul(backend.inv(z), b), z), b):
+        raise RuntimeError("witness failed re-verification")
+    details.update(backend.centralizer_note(z, b))
+    return HarnessResult("witness", {"n": 1, "element": z}, details)
 
 
 def _powers(backend, g: str, n: int) -> dict[int, str]:

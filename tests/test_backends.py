@@ -696,6 +696,44 @@ def test_one_cell_bound(presentation, l2):
     assert min(map(len, glued)) == l2
 
 
+def _surface(genus):
+    gens = "abcdefgh"[:2 * genus]
+    return Presentation(tuple(gens), ("".join(gens[i] + gens[i + 1] + gens[i].upper()
+                                              + gens[i + 1].upper()
+                                              for i in range(0, 2 * genus, 2)),))
+
+
+@pytest.mark.parametrize("genus, l2", [(2, 14), (3, 22), (4, 30)])
+def test_dehn_construction_makes_one_pieces_pass(genus, l2, monkeypatch):
+    """One longest_pieces pass decides C'(1/6) and L2, and the rules and
+    halves are those read off symmetrized(), as a relator-by-relator
+    loop builds them; a refused presentation is refused with the same
+    message after one pass too."""
+    import periodlines.backends as backends
+
+    passes = []
+    full = backends.longest_pieces
+    monkeypatch.setattr(backends, "longest_pieces",
+                        lambda *args: passes.append(args[0]) or full(*args))
+    presentation = _surface(genus)
+    assert genus > 2 or presentation == SURFACE_GENUS2
+    d = DehnBackend(presentation)
+    assert len(passes) == 1
+    rules, halves = {}, {}
+    for rho in presentation.symmetrized():
+        h = len(rho) // 2
+        rules[rho[:h + 1]] = inverse_word(rho[h + 1:])
+        halves[rho[:h]] = inverse_word(rho[h:])
+    assert d._l2 == l2 == one_cell_bound(presentation)
+    assert list(d._rules.items()) == list(rules.items()) and len(rules) == 8 * genus
+    assert list(d._halves.items()) == list(halves.items())
+    passes.clear()
+    with pytest.raises(BackendError) as exc:
+        DehnBackend(Presentation(("a", "b"), ("abab",)))
+    assert str(exc.value) == "presentation is not C'(1/6); Dehn backend refused"
+    assert len(passes) == 1
+
+
 def test_genus2_two_cell_lookup_at_the_bound(genus2_r6):
     # Around two octagons sharing an edge, u takes 4 letters of each and
     # v the other 6: u is Dehn-reduced, and |u| + |v| = 14 = L2, so only the

@@ -258,13 +258,22 @@ def test_command_table_is_the_full_parsers_choices():
 
 
 def test_main_builds_only_the_invoked_parser(capsys, monkeypatch):
+    """A valid call builds one parser, its own command's, with no
+    subparsers action; the full parser would build one per command more."""
     built = []
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda names=COMMANDS: built.append(list(names)) or full(names))
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
     assert main(["periods", "--word", "abab"]) == 0
-    assert built == [["periods"]]
+    assert [p.prog for p in built] == ["periodlines periods"]
+    assert built[0]._subparsers is None
     assert capsys.readouterr().out.endswith('result: {"periods": [2, 4]}\n')
+    build_parser()
+    assert len(built) == 1 + 1 + len(COMMANDS)
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):

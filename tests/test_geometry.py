@@ -91,6 +91,24 @@ def test_periodic_line_phases():
     assert q.start == "BABA" and q.end == ""
 
 
+def test_periodic_line_period_element_is_the_normal_form():
+    """period_element is the geodesic word the line is built from, which
+    is normal_form(a) on every backend: on Dehn, geodesic_word succeeds
+    only inside the ball, where normal_form gives the same canonical word;
+    outside it no line is built."""
+    cases = [(FREE, w) for w in ("ab", "aBBa", "abAB", "aaAb")] + \
+        [(FP, w) for w in ("xy", "xY", "yxyx", "XyxYY")] + \
+        [(DEHN, w) for w in ("ab", "abABc", "dcDCb", "abAB", "dcDC", "cdCDabABa",
+                             "acacac")]
+    for backend, a in cases:
+        try:
+            line = periodic_line(backend, "", a, 0, 2)
+        except BudgetExceeded:
+            assert backend is DEHN and len(backend.normal_form(a)) > backend.max_radius, a
+            continue
+        assert line.period_element == backend.normal_form(a), a
+
+
 def _line_by_steps(backend, x, a, n_min, n_max):
     """periodic_line as first written: the window start reached by |n_min|
     multiplications by the period word, one at a time."""

@@ -27,8 +27,10 @@ from periodlines.harness import (
     weak_theorem_check,
 )
 from periodlines.freewords import is_cyclically_reduced, overlap_root, power_word, rotate
+from periodlines.words import primitive_root
 from commensurability_reference import commensurability_reference
 from free_commensurate_reference import reference_free_oracle
+from lemma41_reference import lemma41_reference
 from period_threshold_reference import period_threshold_reference
 from witness_search_reference import witness_search_reference
 from zmzn_reference import zmzn_normal_form
@@ -115,6 +117,53 @@ def test_lemma41_window_gate_with_profile():
     res = lemma41_check(FREE, "ab", "", "ab", window=4, r=0, profile=profile)
     assert res.status == "hypothesis-failed"
     assert "K(r)" in res.details
+
+
+def _lemma41_answer(check, *args):
+    try:
+        return check(*args)
+    except HypothesisError as exc:
+        return "refused", str(exc)
+
+
+@pytest.mark.parametrize("backend", [FreeBackend(2), FreeProductBackend((2, 3))],
+                         ids=["free:2", "zmzn:2,3"])
+def test_lemma41_matches_power_loop_reference(backend):
+    """One commutation gives the power loop's answer on seeded instances:
+    b mostly cyclically reduced (a core on free:2, an alternating word on
+    zmzn:2,3), else a random word (refused as elliptic or not shortest now
+    and then), and x_q = x_p times a power of b's root
+    (the lines coincide, so z commutes with b), a letter or a random word,
+    under windows 1 to 3, r 0 to 4 and exponent bounds 1, 2 and 8, and at
+    r = 0 now and then a profile whose K(r) gates the window."""
+    rng = random.Random(400)
+    letters = "abAB" if type(backend) is FreeBackend else "xyY"
+    profile = ConstantsProfile.create(0, 2, 1, "user-supplied", {24: (10, 5)})
+    counts = {}
+    for i in range(400):
+        b = "".join(rng.choice(letters) for _ in range(rng.randint(1, 5)))
+        if i % 5 and letters == "xyY":  # cyclically alternating, so loxodromic
+            b = "".join("x" + rng.choice("yY") for _ in range(rng.randint(1, 3)))
+        elif i % 5:
+            b = backend.cyclic_core(b)[1] or b
+        x_p = "".join(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+        if i % 3 == 0:
+            rho = primitive_root(backend.normal_form(b) or b)[0]
+            k = rng.randint(-2, 2)
+            x_q = backend.mul(x_p, (rho if k > 0 else backend.inv(rho)) * abs(k))
+        elif i % 3 == 1:
+            x_q = x_p + rng.choice(letters)
+        else:
+            x_q = "".join(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+        r = rng.randint(0, 4)
+        args = (backend, b, x_p, x_q, rng.randint(1, 3), r,
+                profile if r == 0 and i % 4 == 0 else None, rng.choice((1, 2, 8)))
+        answer = _lemma41_answer(lemma41_check, *args)
+        assert answer == _lemma41_answer(lemma41_reference, *args), args
+        status = answer[0] if type(answer) is tuple else answer.status
+        counts[status] = counts.get(status, 0) + 1
+    assert counts["witness"] > 60 and counts["refused"] > 30, counts
+    assert counts["no-witness-within-bounds"] > 0 and counts["hypothesis-failed"] > 200, counts
 
 
 def test_weak_theorem_sharp_free():
