@@ -131,9 +131,8 @@ class _Backend:
       backend cannot decide; it checks g's letters on every backend;
     - elliptic_core_len: an element is loxodromic iff its cyclic core is
       longer than this;
-    - commensurate(a, b, cores=None): (witness, certificate) from an exact
-      oracle, or None; a caller that has read the cyclic cores of a and b
-      hands them in;
+    - commensurate(a, b): (witness, certificate) from an exact oracle, or
+      None; commensurability_search asks it before its bounded search;
     - centralizer_note(z, b): extra lemma 4.1 details, or {};
     - sharp_periods: the exact period threshold at r = 0, or None;
     - element_key(w): equal for equal elements.  Two words with equal
@@ -287,13 +286,12 @@ class _Backend:
     def element_key(self, w: str):
         return w
 
-    def commensurate(self, a: str, b: str, cores=None):
+    def commensurate(self, a: str, b: str):
         """Exact commensurability of a and b: ({g, s, t} with
         g^-1 b^t g = a^s, a^s nontrivial and s > 0, or None, certificate),
-        or None where this oracle cannot decide.  cores are
-        (cyclic_core(a), cyclic_core(b)), read here unless the caller has
-        read them already.  This is the library's one exact
-        commensurability oracle.
+        or None where this oracle cannot decide, read off the cyclic cores
+        of a and b.  This is the library's one exact commensurability
+        oracle.
 
         Loxodromic a and b are compared by the primitive roots of their
         cores (freewords.match_roots, as freewords.overlap_root compares
@@ -311,8 +309,7 @@ class _Backend:
         one factor fold together, as in cyclic_core.  A commensurable pair
         of finite order, like a missing core (Dehn) or a trivial element,
         gets None and is left to the bounded search."""
-        if cores is None:
-            cores = self.cyclic_core(a), self.cyclic_core(b)
+        cores = self.cyclic_core(a), self.cyclic_core(b)
         if None in cores:
             return None
         (_, c), (_, d) = cores

@@ -221,7 +221,7 @@ def cmd_fourgon_selfcheck(args, profile):
 
 def cmd_lemma41(args, profile):
     res = harness.lemma41_check(make_backend(args.backend), args.b, args.x_p, args.x_q,
-                                args.window, args.r, profile, args.max_exponent)
+                                args.window, args.r, profile)
     return (0 if res.ok else HYPOTHESIS_EXIT), {"status": res.status, "witness": res.witness,
                                                 "details": res.details}
 
@@ -334,7 +334,7 @@ COMMANDS = {
                           {"--backend": FREE2, "--count": _int(50), "--seed": _int(0)}),
     "lemma41": (cmd_lemma41, "parallel periodic lines centralizer check", {
         "--backend": REQ, "--b": REQ, "--x-p": EMPTY, "--x-q": EMPTY, "--window": _int(8),
-        "--r": _int(0), "--profile": {}, "--max-exponent": _int(8)}),
+        "--r": _int(0), "--profile": {}}),
     "theorem": (cmd_theorem, "overlap theorem harness", {
         "--backend": REQ, "--a": {}, "--b": {}, "--x": EMPTY, "--y": EMPTY, "--r": _int(0),
         "--sharp-free": FLAG, "--profile": {}, "--periods": _int(), "--max-exponent": _int(8),

@@ -4,13 +4,16 @@ algebraic witnesses, and re-verify every witness through the backend.
 
 Search bounds are experiment parameters, not claims: the statements assert
 existence of witnesses but give no bound on the exponents, so "no witness
-within bounds" is an unknown, except where the answer is exact.  On the
-free and free product backends the oracle backends._Backend.commensurate
-decides commensurability from cyclic cores (of loxodromic elements, and
-of an element of finite order against one of infinite order or of another
-factor), and the theorems' witness (x^-1 y) b^s (y^-1 x) = a^t for
-loxodromic a and b is read off a's primitive root (_witness_search): there
-"no witness" means none at all, or none with exponents within the bound.
+within bounds" is an unknown, except where the answer is exact.  The
+theorems and the threshold accept only loxodromic a and b on a backend
+with cyclic cores (free and free product backends), and their witness
+(x^-1 y) b^s (y^-1 x) = a^t is read off a's primitive root alone
+(_witness_search), with no oracle and no power table: "no witness" means
+none at all, or none with exponents within the bound.  The oracle
+backends._Backend.commensurate, which decides commensurability from
+cyclic cores (of loxodromic elements, and of an element of finite order
+against one of infinite order or of another factor), and the bounded
+search over power tables serve commensurability_search alone.
 """
 
 import math
@@ -69,8 +72,8 @@ def _require_loxodromic_shortest(backend, g: str, name: str) -> tuple[str, str]:
     g loxodromic (the core is longer than elliptic_core_len) and shortest
     in its class (the core is as long as g's normal form, so conj is empty:
     on every backend with a core, normal forms are geodesics), so that
-    |g| = len(core).  Callers hand the core on to _witness_search, which
-    then reads no core again.  Without a core neither hypothesis is
+    |g| = len(core).  Callers hand a's core on to _witness_search, which
+    reads no core itself.  Without a core neither hypothesis is
     certified, and g is refused as such."""
     exact = backend.cyclic_core(g)
     if exact is None:
@@ -85,12 +88,11 @@ def _require_loxodromic_shortest(backend, g: str, name: str) -> tuple[str, str]:
 
 
 def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
-                  profile=None, max_exponent: int = 8) -> HarnessResult:
+                  profile=None) -> HarnessResult:
     """Parallel b-periodic lines: if finite window subpaths of L(x_p, b) and
-    L(x_q, b) have both endpoint pairs within r, look for n != 0 with
-    0 < n <= max_exponent such that the phase difference element z
-    centralizes b^n.  A window below 1 is refused before b is classified or
-    a line is built.
+    L(x_q, b) have both endpoint pairs within r, look for n != 0 such that
+    the phase difference element z centralizes b^n.  A window below 1 is
+    refused before b is classified or a line is built.
 
     One commutation, z b = b z, decides every n.  b passed
     _require_loxodromic_shortest, so the backend has a core (free or free
@@ -99,10 +101,9 @@ def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
     is loxodromic too.  So C(b^n) = <h> holds b, b = h^e, and h commutes
     with b: C(b^n) lies in C(b), which lies in C(b^n).  Hence z commutes
     with b^n iff it commutes with b: the witness, where there is one, is
-    n = 1, the least n, and where n = 1 fails, every n fails.  So
-    max_exponent, refused below 1, changes no answer."""
+    n = 1, the least n, and where n = 1 fails, every n fails, so the
+    statement takes no exponent bound."""
     require_overlap_parameter(r)
-    require_exponent_bound(max_exponent)
     if window < 1:
         raise HypothesisError(f"need window >= 1, got {window}")
     _require_loxodromic_shortest(backend, b, "b")
@@ -134,7 +135,9 @@ def lemma41_check(backend, b: str, x_p: str, x_q: str, window: int, r: int,
 
 def _powers(backend, g: str, n: int) -> dict[int, str]:
     """{k: g^k for 0 < |k| <= n}: one state per sign, which each power
-    appends the letters of g or of inv(g) to, rendered once per power."""
+    appends the letters of g or of inv(g) to, rendered once per power.
+    These power tables serve commensurability_search's bounded search
+    alone."""
     backend.check_word(g)
     out = {}
     for sign, base in ((1, g), (-1, backend.inv(g))):
@@ -147,20 +150,17 @@ def _powers(backend, g: str, n: int) -> dict[int, str]:
 
 
 def _witness_search(backend, a: str, b: str, x: str, y: str, max_exponent: int,
-                    cores=None):
+                    core_a: tuple[str, str]):
     """{s, t} with (x^-1 y) b^s (y^-1 x) = a^t and 0 < |s|, |t| <=
     max_exponent, the least by |s| + |t|, then s ascending, then t positive
     first, or None.  y's letters are checked before x's, so a bad letter
-    in both is named from y.  cores are (cyclic_core(a), cyclic_core(b)),
-    read here unless the caller has read them already.
+    in both is named from y.  Every caller has shown a and b loxodromic
+    and shortest with _require_loxodromic_shortest, so the backend has a
+    core (free or free product), and hands on a's, core_a.
 
-    For loxodromic a and b with cores (free and free product backends)
-    the answer is exact and builds no power.  Let u = x^-1 y, (w, core) be
-    a's cyclic core, core = rho^k with the word rho primitive, and
+    The answer is exact and builds no power.  Let u = x^-1 y,
+    (w, core) = core_a, core = rho^k with the word rho primitive, and
     c = w^-1 (u b u^-1) w.
-    - u b^s u^-1 = a^t with s, t != 0 makes a and b commensurable, as
-      powers of loxodromic elements are nontrivial: where the oracle
-      (backend.commensurate) says they are not, no (s, t) exists.
     - Conjugating by w, u b^s u^-1 = a^t iff c^s = core^t = rho^(k t).
     - The centralizer of a loxodromic element, such as a nonzero power of
       rho, is infinite cyclic (Lyndon-Schupp, Ch. I, Prop. 2.17;
@@ -174,29 +174,18 @@ def _witness_search(backend, a: str, b: str, x: str, y: str, max_exponent: int,
       c = rho^j, j != 0 as b is loxodromic.  Conversely c = rho^j gives
       c^s = rho^(k t) iff j s = k t, rho having infinite order.  The normal
       form of rho^j is rho's word j times, or inv(rho)'s -j times, both
-      cyclically reduced and loxodromic, so c's normal form decides j.
+      cyclically reduced and loxodromic, so c's normal form decides j:
+      a c that is no power of rho, as for every non-commensurable pair,
+      gives no witness.
     - The solutions of j s = k t, s, t != 0, are m (k, j) / g for
       g = gcd(k, |j|) and m != 0.  |s| + |t| grows with |m|, and m = -1
       has the smaller s: the least is (s, t) = (-k / g, -j / g), and where
       it exceeds max_exponent, so does every other.
-    Elsewhere (no core, as on Dehn, an a or b of finite order, whose
-    trivial powers count here, or no oracle) the bounded search
-    _conjugate_powers runs over a's power table.  Either witness is
-    re-verified by the word problem as u^-1 a^t u = b^s, on powers built
-    for it alone."""
+    The witness is re-verified by the word problem as u^-1 a^t u = b^s, on
+    powers built for it alone."""
     backend.check_word(y)
     backend.check_word(x)
-    if cores is None:
-        cores = backend.cyclic_core(a), backend.cyclic_core(b)
-    exact = None
-    if None not in cores and min(len(cores[0][1]), len(cores[1][1])) > backend.elliptic_core_len:
-        exact = backend.commensurate(a, b, cores)
-    if exact is None:
-        u = backend.mul(backend.inv(x), y)
-        return _conjugate_powers(backend, _powers(backend, a, max_exponent), b, u, max_exponent)
-    if exact[0] is None:
-        return None
-    (w, core), _ = cores
+    w, core = core_a
     rho, k = primitive_root(core)
     # c = w^-1 u b u^-1 w, and below u^-1 a^t u, for u = x^-1 y
     c = backend.normal_form(inverse_word(x + w) + y + b + inverse_word(y) + x + w)
@@ -220,9 +209,10 @@ def _witness_search(backend, a: str, b: str, x: str, y: str, max_exponent: int,
 def _conjugate_powers(backend, powers_a: dict, b: str, u: str, max_exponent: int):
     """{s, t} with u b^s u^-1 = a^t, 0 < |s| <= max_exponent, over the power
     table of a, by |s| + |t|, then s ascending, then t positive first, or
-    None.  The conjugate c = u b u^-1 is built once and its powers by
-    _powers: (u b u^-1)^s = u b^s u^-1, so they stand for the elements of
-    the conjugated powers of b.  Only pairs whose element keys agree are
+    None: the bounded search of commensurability_search.  The conjugate
+    c = u b u^-1 is built once and its powers by _powers:
+    (u b u^-1)^s = u b^s u^-1, so they stand for the elements of the
+    conjugated powers of b.  Only pairs whose element keys agree are
     compared: identical words match, and any other pair asks
     backend.equal.  The hit is re-verified in the conjugation form
     u^-1 a^t u = b^s against b's own power, built for the hit alone, so the
@@ -257,18 +247,18 @@ def _b_window(backend, a: str, b: str, y: str, r: int, lo_phase: int, hi_phase: 
     return periodic_line(backend, y, b, lo, hi)
 
 
-def _require_theorem_hypotheses(inst: TheoremInstance) -> tuple:
-    """The cyclic cores of a and b, once both are loxodromic and shortest
-    in their classes and |a| >= |b|."""
-    cores = (_require_loxodromic_shortest(inst.backend, inst.a, "a"),
-             _require_loxodromic_shortest(inst.backend, inst.b, "b"))
-    if len(cores[0][1]) < len(cores[1][1]):
+def _require_theorem_hypotheses(inst: TheoremInstance) -> tuple[str, str]:
+    """a's cyclic core, once a and b are loxodromic and shortest in their
+    classes and |a| >= |b|."""
+    core_a = _require_loxodromic_shortest(inst.backend, inst.a, "a")
+    core_b = _require_loxodromic_shortest(inst.backend, inst.b, "b")
+    if len(core_a[1]) < len(core_b[1]):
         raise HypothesisError("|a| must be >= |b|")
-    return cores
+    return core_a
 
 
 def _overlap_witness(inst: TheoremInstance, r: int, first_phase: int,
-                     min_periods: int, cores) -> HarnessResult:
+                     min_periods: int, core_a) -> HarnessResult:
     """The step both theorems share: if phases [first_phase, first_phase + n]
     of L(x, a), n = max(min_periods, 2), lie in the r-neighborhood of the
     L(y, b) window over the same phases, search for the witness."""
@@ -281,7 +271,7 @@ def _overlap_witness(inst: TheoremInstance, r: int, first_phase: int,
     if not neighborhood_contains(p, q, r, backend):
         return HarnessResult("hypothesis-failed", None,
                              {**details, "reason": "a-line window not in r-neighborhood of b-line"})
-    witness = _witness_search(backend, inst.a, inst.b, inst.x, inst.y, inst.max_exponent, cores)
+    witness = _witness_search(backend, inst.a, inst.b, inst.x, inst.y, inst.max_exponent, core_a)
     if witness is None:
         return HarnessResult("no-witness-within-bounds", None, details)
     return HarnessResult("witness", witness, details)
@@ -297,12 +287,12 @@ def weak_theorem_check(inst: TheoremInstance, profile=None,
     require_exponent_bound(inst.max_exponent)
     if min_periods is not None and min_periods < 1:
         raise HypothesisError(f"need min_periods >= 1, got {min_periods}")
-    cores = _require_theorem_hypotheses(inst)
+    core_a = _require_theorem_hypotheses(inst)
     if min_periods is None:
         if profile is None:
             raise HypothesisError("need a profile or an explicit period count")
         min_periods = F_of_r(profile, inst.r)
-    return _overlap_witness(inst, inst.r, 0, min_periods, cores)
+    return _overlap_witness(inst, inst.r, 0, min_periods, core_a)
 
 
 def main_theorem_check(inst: TheoremInstance, profile=None,
@@ -333,8 +323,8 @@ def main_theorem_check(inst: TheoremInstance, profile=None,
         raise AcylUnavailable("inconsistent profile: trimming eats too many periods")
     details = {"f(r)": str(f(inst.r)), "k": k, "r_base": r_base,
                "trimmed_periods": trimmed}
-    cores = _require_theorem_hypotheses(inst)
-    res = _overlap_witness(inst, r_base, k, trimmed, cores)
+    core_a = _require_theorem_hypotheses(inst)
+    res = _overlap_witness(inst, r_base, k, trimmed, core_a)
     res.details.update(details)
     return res
 
@@ -385,12 +375,12 @@ def empirical_period_threshold(backend, a: str, b: str, x: str, y: str, r: int,
     change it: the witness search, which needs no budget, runs first, and
     only where it finds a witness are the two lines built and swept."""
     require_overlap_parameter(r)
-    cores = (_require_loxodromic_shortest(backend, a, "a"),
-             _require_loxodromic_shortest(backend, b, "b"))
     if max_periods < 1:
         raise GeometryError("need max_periods >= 1")
+    core_a = _require_loxodromic_shortest(backend, a, "a")
+    _require_loxodromic_shortest(backend, b, "b")
     require_exponent_bound(max_exponent)
-    if _witness_search(backend, a, b, x, y, max_exponent, cores) is None:
+    if _witness_search(backend, a, b, x, y, max_exponent, core_a) is None:
         return None
     q = _b_window(backend, a, b, y, r, -max_periods, 2 * max_periods)
     p = periodic_line(backend, x, a, -max_periods, max_periods + 1)

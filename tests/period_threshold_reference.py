@@ -4,10 +4,12 @@ with its closed form: the reference the closed form is tested against.
 It profiles a 3 max_periods-period window of L(x, a), and returns the
 smallest m such that some m-period subpath starting at a phase in
 [-max_periods, max_periods] lies in the r-neighborhood of the L(y, b)
-window, when the witness search succeeds."""
+window, when the pairwise witness loop of witness_search_reference
+succeeds, so that the reference shares no witness code with the statement."""
 
 from periodlines.geometry import neighborhood_profile, periodic_line
-from periodlines.harness import _b_window, _require_loxodromic_shortest, _witness_search
+from periodlines.harness import _b_window, _require_loxodromic_shortest
+from witness_search_reference import witness_search_reference
 
 
 def period_threshold_reference(backend, a, b, x, y, r, max_periods=8, max_exponent=8):
@@ -23,7 +25,7 @@ def period_threshold_reference(backend, a, b, x, y, r, max_periods=8, max_expone
              for k in range(3 * max_periods)]
     if not any(flags):
         return None
-    witness = _witness_search(backend, a, b, x, y, max_exponent)
+    witness = witness_search_reference(backend, a, b, x, y, max_exponent)
     if witness is None:
         return None
     for m in range(1, max_periods + 1):

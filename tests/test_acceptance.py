@@ -336,7 +336,7 @@ def test_acceptance_09_parallel_lines_harness():
         else:
             x_q = free_reduce(x_p + "".join(rng.choice("abAB")
                                             for _ in range(rng.randint(1, 2))))
-        res = lemma41_check(FREE, b, x_p, x_q, window=6, r=r, max_exponent=8)
+        res = lemma41_check(FREE, b, x_p, x_q, window=6, r=r)
         if res.status == "hypothesis-failed":
             n_failed += 1
             continue

@@ -344,6 +344,8 @@ ERROR_CASES = {
                         "batch instance 0 needs words a, b, x, y and an integer r"),
     "threshold-max-periods": (["threshold", "--a", "ab", "--b", "ab", "--max-periods", "-3"],
                               1, "need max_periods >= 1"),
+    "threshold-max-periods-before-a": (["threshold", "--a", "aA", "--b", "ab",
+                                        "--max-periods", "0"], 1, "need max_periods >= 1"),
     "classify-n-max": (["classify", "--backend", "free:2", "--g", "ab", "--n-max", "3"], 64,
                        "unrecognized arguments: --n-max 3"),
     "acyl-radius-0": (["acyl-profile", "--backend", "zmzn:2,3", "--eps", "0", "--radius", "0"],
@@ -373,8 +375,9 @@ ERROR_CASES = {
     "theorem-batch-max-exponent": (["theorem", "--backend", "free:2", "--periods", "2",
                                     "--batch", "{dir}/batch-ok.json", "--max-exponent", "0"], 1,
                                    "need max_exponent >= 1, got 0"),
-    "lemma41-max-exponent-0": (["lemma41", "--backend", "free:2", "--b", "ab", "--x-q", "ab",
-                                "--max-exponent", "0"], 1, "need max_exponent >= 1, got 0"),
+    "lemma41-max-exponent": (["lemma41", "--backend", "free:2", "--b", "ab", "--x-q", "ab",
+                              "--max-exponent", "3"], 64,
+                             "unrecognized arguments: --max-exponent 3"),
     "commensurate-max-exponent-0": (["commensurate", "--backend", "zmzn:2,3", "--a", "xy",
                                      "--b", "xyxy", "--max-exponent", "0"], 1,
                                     "need max_exponent >= 1, got 0"),
@@ -465,7 +468,7 @@ SWEEP_FLOORS = {
     ("acyl-profile", "--eps"): 0, ("acyl-profile", "--radius"): 1,
     ("constants", "--r"): 0,
     ("fourgon-selfcheck", "--count"): 1,
-    ("lemma41", "--window"): 1, ("lemma41", "--r"): 0, ("lemma41", "--max-exponent"): 1,
+    ("lemma41", "--window"): 1, ("lemma41", "--r"): 0,
     ("theorem", "--r"): 0, ("theorem", "--periods"): 1, ("theorem", "--max-exponent"): 1,
     ("threshold", "--r"): 0, ("threshold", "--max-periods"): 1,
     ("threshold", "--max-exponent"): 1,

@@ -39,12 +39,21 @@ FREE = FreeBackend(2)
 FP = FreeProductBackend((2, 3))
 
 
-class _CountingCores(FreeBackend):
-    cores = 0
+def _counting(cls):
+    """cls with counters on cyclic_core and commensurate."""
+    class Counting(cls):
+        cores = 0
+        oracle = 0
 
-    def cyclic_core(self, g):
-        self.cores += 1
-        return super().cyclic_core(g)
+        def cyclic_core(self, g):
+            self.cores += 1
+            return super().cyclic_core(g)
+
+        def commensurate(self, *args):
+            self.oracle += 1
+            return super().commensurate(*args)
+
+    return Counting
 
 
 def test_lemma41_coinciding_lines():
@@ -74,9 +83,16 @@ def test_lemma41_requires_shortest():
         assert str(exc.value) == msg
 
     # one conjugacy core decides both hypotheses on b
-    free = _CountingCores(2)
+    free = _counting(FreeBackend)(2)
     assert lemma41_check(free, "ab", "", "ab", window=6, r=2).status == "witness"
     assert free.cores == 1
+
+    # nor are the theorems and the threshold, whose witness search reads a's core
+    for statement in (lambda: empirical_period_threshold(dehn, "abab", "ab", "", "", 0),
+                      lambda: weak_theorem_check(TheoremInstance(dehn, "abab", "ab", "", "", 0),
+                                                 min_periods=2)):
+        with pytest.raises(HypothesisError, match="^a is not certified loxodromic"):
+            statement()
 
 
 @pytest.mark.parametrize("backend", [FREE, FP, DehnBackend(SURFACE_GENUS2)],
@@ -134,8 +150,8 @@ def test_lemma41_matches_power_loop_reference(backend):
     zmzn:2,3), else a random word (refused as elliptic or not shortest now
     and then), and x_q = x_p times a power of b's root
     (the lines coincide, so z commutes with b), a letter or a random word,
-    under windows 1 to 3, r 0 to 4 and exponent bounds 1, 2 and 8, and at
-    r = 0 now and then a profile whose K(r) gates the window."""
+    under windows 1 to 3, r 0 to 4, the loop's exponent bounds 1, 2 and 8,
+    and at r = 0 now and then a profile whose K(r) gates the window."""
     rng = random.Random(400)
     letters = "abAB" if type(backend) is FreeBackend else "xyY"
     profile = ConstantsProfile.create(0, 2, 1, "user-supplied", {24: (10, 5)})
@@ -157,9 +173,11 @@ def test_lemma41_matches_power_loop_reference(backend):
             x_q = "".join(rng.choice(letters) for _ in range(rng.randint(0, 3)))
         r = rng.randint(0, 4)
         args = (backend, b, x_p, x_q, rng.randint(1, 3), r,
-                profile if r == 0 and i % 4 == 0 else None, rng.choice((1, 2, 8)))
+                profile if r == 0 and i % 4 == 0 else None)
+        max_exponent = rng.choice((1, 2, 8))
         answer = _lemma41_answer(lemma41_check, *args)
-        assert answer == _lemma41_answer(lemma41_reference, *args), args
+        assert answer == _lemma41_answer(lemma41_reference, *args, max_exponent), \
+            (args, max_exponent)
         status = answer[0] if type(answer) is tuple else answer.status
         counts[status] = counts.get(status, 0) + 1
     assert counts["witness"] > 60 and counts["refused"] > 30, counts
@@ -267,9 +285,12 @@ def test_commensurability_search_matches_candidate_loop():
     (finite-order ones too, whose powers repeat and whose trivial powers
     both sides drop) at bounds (3, 2), where powers match as identical
     normal forms, on a Z/2*Z/3 without the exact oracle, and at (3, 1) on
-    genus-2 pairs (w^2, w) and (w, c), |w| <= 2, c a letter, where
-    Dehn-reduced powers are bucketed by their exponent sums.  Where no key
-    agrees, the search asks no equal."""
+    genus-2 pairs (w^2, w) and (w, c), |w| <= 2, c a letter, and seeded
+    pairs (w^k, p^-1 w^j p), |p| <= 1, where Dehn-reduced powers are
+    bucketed by their exponent sums: abAB and dcDC, the two halves of the
+    relator, are one element in two Dehn-reduced spellings, so equal keys
+    need not mean identical words.  Where no key agrees, the search asks
+    no equal."""
     class Counting(DehnBackend):
         calls = 0
 
@@ -284,6 +305,15 @@ def test_commensurability_search_matches_candidate_loop():
     cases = [(fp, a, b, 3, 2) for a in fp_words for b in fp_words]
     cases += [(dehn, w * 2, w, 3, 1) for w in dehn_words]
     cases += [(dehn, w, c, 3, 1) for w in dehn_words for c in dehn.letters]
+    halves = [(dehn, "abAB", "dcDC", 3, 1), (dehn, "cabAB", "cdcDC", 3, 1)]
+    rng = random.Random(59)
+    for _ in range(100):
+        w, p = ("".join(rng.choice(dehn.letters) for _ in range(rng.randint(lo, 3)))
+                for lo in (1, 0))
+        p = p[:1]
+        b = dehn.mul(dehn.mul(dehn.inv(p), w * rng.randint(1, 2)), p)
+        halves.append((dehn, w * rng.randint(1, 2), b, 3, 1))
+    cases += halves
     found = {fp: 0, dehn: 0}
     for backend, a, b, n, bound in cases:
         if backend.is_identity(a) or backend.is_identity(b):
@@ -291,7 +321,8 @@ def test_commensurability_search_matches_candidate_loop():
         got = commensurability_search(backend, a, b, n, bound)
         assert got == commensurability_reference(backend, a, b, n, bound), (a, b)
         found[backend] += got[0] is not None
-    assert found[fp] > 400 and found[dehn] == 64 + 32, found
+    assert found[fp] > 400 and found[dehn] == 64 + 32 + 94, found
+    assert commensurability_search(dehn, "abAB", "dcDC", 3, 1)[0] is not None
     counting = Counting(SURFACE_GENUS2)
     assert commensurability_search(counting, "ab", "ac", 8, 2) == \
         (None, "not found within bounds (8,2)")
@@ -444,7 +475,6 @@ def test_every_statement_refuses_a_non_positive_exponent_bound(monkeypatch):
     inst = TheoremInstance(FREE, "ab", "ab", "", "", 0, max_exponent=0)
     statements = [
         lambda: empirical_period_threshold(FREE, "ab", "ab", "", "", 0, max_exponent=0),
-        lambda: lemma41_check(FREE, "ab", "", "ab", window=6, r=0, max_exponent=-1),
         lambda: weak_theorem_check(inst, min_periods=2),
         lambda: main_theorem_check(inst, sharp_free=True),
         lambda: commensurability_search(FREE, "ab", "ab", max_exponent=0),
@@ -484,47 +514,53 @@ def _count_powers(monkeypatch):
     return calls
 
 
-def test_witness_search_asks_the_exact_oracle_first(monkeypatch):
-    """On the free backend no power table is built: the oracle answers a
-    non-commensurable pair, and a's root a commensurable one under its u.
-    On genus 2, which has no core, the bounded search builds its tables."""
+def test_witness_search_reads_a_root_and_builds_no_power(monkeypatch):
+    """Given a's core, the witness search reads a's root and builds no
+    power table and asks no oracle, for a non-commensurable pair and a
+    commensurable one under its u."""
     calls = _count_powers(monkeypatch)
-    assert _witness_search(FREE, "aab", "ab", "", "", 8) is None
-    assert _witness_search(FREE, "aab", "ab", "b", "Ab", 8) is None
-    assert _witness_search(FREE, "abab", "ab", "", "", 8) == {"s": -2, "t": -1}
+    monkeypatch.setattr(FREE, "commensurate", lambda *args: calls.append(args))
+
+    def search(a, b, x, y, n):
+        return _witness_search(FREE, a, b, x, y, n, FREE.cyclic_core(a))
+
+    assert search("aab", "ab", "", "", 8) is None
+    assert search("aab", "ab", "b", "Ab", 8) is None
+    assert search("abab", "ab", "", "", 8) == {"s": -2, "t": -1}
     # BABA = (ab)^-2: j = -2 over inv(rho) = BA, and (BABA)^-1 = (ab)^2
-    assert _witness_search(FREE, "ab", "BABA", "", "", 8) == {"s": -1, "t": 2}
+    assert search("ab", "BABA", "", "", 8) == {"s": -1, "t": 2}
     # commensurable, but no witness under u = b: b (ab) b^-1 = ba is no
     # power of the root ab
-    assert _witness_search(FREE, "abab", "ab", "", "b", 8) is None
+    assert search("abab", "ab", "", "b", 8) is None
     # the least witness (s, t) = (-2, -1) is cut off by the bound
-    assert _witness_search(FREE, "abab", "ab", "", "", 1) is None
+    assert search("abab", "ab", "", "", 1) is None
     assert calls == []
-    dehn = DehnBackend(SURFACE_GENUS2)
-    assert _witness_search(dehn, "abab", "ab", "", "", 8) == {"s": -2, "t": -1}
-    assert calls
+
+
+# (a, b) on free:2 and a Z/2*Z/3 pair of the same kind: commensurable or not
+_ZMZN_PAIRS = {("abab", "ab"): ("xyxy", "xy"), ("aab", "ab"): ("xyxY", "xy")}
 
 
 @pytest.mark.parametrize("a, b", [("abab", "ab"), ("aab", "ab")])
-def test_statements_read_each_core_once(a, b):
-    """The hypotheses hand the cores they read on to the witness search and
-    the oracle: one threshold op and one weak theorem check on free:2 each
-    make 2 cyclic_core calls, commensurable pair or not."""
-    free = _CountingCores(2)
-    empirical_period_threshold(free, a, b, "", "", 1)
-    assert free.cores == 2
-    free = _CountingCores(2)
-    weak_theorem_check(TheoremInstance(free, a, b, "", "", 0), min_periods=2)
-    assert free.cores == 2
-
-
-class _NoOracleFree(FreeBackend):
-    def commensurate(self, a, b, cores=None):
-        return None
+def test_statements_read_each_core_once(monkeypatch, a, b):
+    """The hypotheses hand a's core on to the witness search: one threshold
+    op and one weak theorem check on free:2 and on zmzn:2,3 each make 2
+    cyclic_core calls, no oracle call and build no power table,
+    commensurable pair or not."""
+    powers = _count_powers(monkeypatch)
+    for make, (a_, b_) in ((lambda: _counting(FreeBackend)(2), (a, b)),
+                           (lambda: _counting(FreeProductBackend)((2, 3)), _ZMZN_PAIRS[a, b])):
+        backend = make()
+        empirical_period_threshold(backend, a_, b_, "", "", 1)
+        assert (backend.cores, backend.oracle) == (2, 0)
+        backend = make()
+        weak_theorem_check(TheoremInstance(backend, a_, b_, "", "", 0), min_periods=2)
+        assert (backend.cores, backend.oracle) == (2, 0)
+    assert powers == []
 
 
 class _NoOracleFP(FreeProductBackend):
-    def commensurate(self, a, b, cores=None):
+    def commensurate(self, a, b):
         return None
 
 
@@ -545,33 +581,6 @@ def _zmzn_loxodromic(max_syllables):
              for w in map("".join, itertools.product("xyY", repeat=n))}
     return sorted((w for w in words if 2 <= len(w) <= max_syllables and len(_zmzn_core(w)) >= 2),
                   key=lambda w: (len(w), w))
-
-
-def test_witness_search_oracle_exit_matches_the_bounded_search():
-    """With one seeded random u = x^-1 y per acceptance-4 pair (x and y of
-    0 to 3 letters), the exact search (the oracle, then a's root) answers
-    as the bounded search alone does, which runs where the oracle is
-    missing, on every pair; and so on 3,000 seeded Z/2*Z/3 instances of
-    loxodromic a and b of up to 5 syllables."""
-    bounded = _NoOracleFree(2)
-    rng = random.Random(25)
-    found = 0
-    for a, b, _ in _acceptance4_pairs():
-        x, y = ("".join(rng.choice("abAB") for _ in range(rng.randint(0, 3))) for _ in "xy")
-        witness = _witness_search(FREE, a, b, x, y, 8)
-        assert witness == _witness_search(bounded, a, b, x, y, 8), (a, b, x, y)
-        found += witness is not None
-    assert found > 20, found
-    bounded = _NoOracleFP((2, 3))
-    lox = _zmzn_loxodromic(5)
-    found = 0
-    for _ in range(3000):
-        a, b = rng.choice(lox), rng.choice(lox)
-        x, y = ("".join(rng.choice("xyY") for _ in range(rng.randint(0, 3))) for _ in "xy")
-        witness = _witness_search(FP, a, b, x, y, 8)
-        assert witness == _witness_search(bounded, a, b, x, y, 8), (a, b, x, y)
-        found += witness is not None
-    assert found > 100, found
 
 
 def _zmzn_commensurable_reference(a, b):
@@ -647,50 +656,33 @@ def test_free_oracle_matches_the_reference():
 
 
 def test_witness_search_matches_pairwise_reference():
-    """The search over pairs whose element keys agree finds the pairwise
-    loop's witness (or none): on every commensurable acceptance-4 pair and
-    every 16th other one (the reference tries all 256 pairs (s, t) there),
-    on Z/2*Z/3 instances, elliptic ones too, whose powers repeat, and on
-    genus-2 instances, where equal elements can have different
-    Dehn-reduced words."""
+    """The witness read off a's root is the pairwise loop's (or none): on
+    every commensurable acceptance-4 pair and every 16th other one (the
+    reference tries all 256 pairs (s, t) there), under u = 1 and under one
+    seeded random u = x^-1 y (x and y of 0 to 3 letters), and on 1,000
+    seeded Z/2*Z/3 instances of loxodromic a and b of up to 5 syllables,
+    shortest in their classes or not, under exponent bounds 1 to 8."""
+    rng = random.Random(25)
     found = 0
     for i, (a, b, commensurable) in enumerate(_acceptance4_pairs()):
+        x, y = ("".join(rng.choice("abAB") for _ in range(rng.randint(0, 3))) for _ in "xy")
         if not commensurable and i % 16:
             continue
-        witness = _witness_search(FREE, a, b, "", "", 8)
-        assert witness == witness_search_reference(FREE, a, b, "", "", 8), (a, b)
-        found += witness is not None
-    assert found > 100
-    rng = random.Random(31)
+        for u in (("", ""), (x, y)):
+            witness = _witness_search(FREE, a, b, *u, 8, FREE.cyclic_core(a))
+            assert witness == witness_search_reference(FREE, a, b, *u, 8), (a, b, u)
+            found += witness is not None
+    assert found > 120, found
+    lox = _zmzn_loxodromic(5)
     found = 0
-    for _ in range(300):
-        a, b, x, y = ("".join(rng.choice("xyY") for _ in range(rng.randint(lo, 4)))
-                      for lo in (1, 1, 0, 0))
-        n = rng.randint(1, 6)
-        witness = _witness_search(FP, a, b, x, y, n)
+    for _ in range(1000):
+        a, b = rng.choice(lox), rng.choice(lox)
+        x, y = ("".join(rng.choice("xyY") for _ in range(rng.randint(0, 3))) for _ in "xy")
+        n = rng.randint(1, 8)
+        witness = _witness_search(FP, a, b, x, y, n, FP.cyclic_core(a))
         assert witness == witness_search_reference(FP, a, b, x, y, n), (a, b, x, y, n)
         found += witness is not None
-    assert found > 50
-    # abAB and dcDC, the two halves of the relator, are one element in two
-    # Dehn-reduced spellings.  b = p^-1 w^j p and a = w^k with x^-1 y = p
-    # are commensurable through x^-1 y; random a, b, x, y mostly are not.
-    dehn = DehnBackend(SURFACE_GENUS2)
-    rng = random.Random(59)
-    cases = [("abAB", "dcDC", "", "", 3), ("cabAB", "cdcDC", "a", "a", 3)]
-    for i in range(200):
-        w, p, x, a, b = ("".join(rng.choice(dehn.letters) for _ in range(rng.randint(lo, 4)))
-                         for lo in (1, 0, 0, 1, 1))
-        y = dehn.mul(x, p)
-        if i % 2:
-            a = w * rng.randint(1, 3)
-            b = dehn.mul(dehn.mul(dehn.inv(p), w * rng.randint(1, 3)), p)
-        cases.append((a, b, x, y, rng.randint(1, 4)))
-    found = 0
-    for a, b, x, y, n in cases:
-        witness = _witness_search(dehn, a, b, x, y, n)
-        assert witness == witness_search_reference(dehn, a, b, x, y, n), (a, b, x, y, n)
-        found += witness is not None
-    assert found > 50
+    assert found > 100, found
 
 
 @pytest.mark.parametrize("orders", [(2, 2), (3, 3)], ids=["zmzn:2,2", "zmzn:3,3"])
@@ -724,7 +716,7 @@ def test_root_witness_matches_pairwise_reference(orders):
         conjugated += fp.cyclic_core(a)[0] != ""
         witnesses = []
         for n in (1, 2, 8):
-            witness = _witness_search(fp, a, b, x, y, n)
+            witness = _witness_search(fp, a, b, x, y, n, fp.cyclic_core(a))
             assert witness == witness_search_reference(fp, a, b, x, y, n), (a, b, x, y, n)
             witnesses.append(witness)
         found += witnesses[-1] is not None

@@ -153,7 +153,8 @@ freewords.overlap_root("ab", "ba")
 from periodlines import harness
 from periodlines.backends import FreeBackend
 harness.gcd = lambda p, q: 2
-harness._witness_search(FreeBackend(2), "abab", "ab", "", "", 8)
+harness.weak_theorem_check(harness.TheoremInstance(FreeBackend(2), "abab", "ab", "", "", 0),
+                           min_periods=2)
 """),
     "r_base": ("periodlines.constants.ProfileError: 2*delta + 2*mu = 1/2", """
 import dataclasses

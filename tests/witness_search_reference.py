@@ -1,7 +1,7 @@
 """The witness search of harness._witness_search as a pairwise loop, one
 equal per (s, t) pair in the order |s| + |t|, then s ascending, then t
-positive first: the reference that the search over pairs whose element
-keys agree is tested against."""
+positive first: the reference that the witness read off a's primitive
+root is tested against."""
 
 from periodlines.harness import _powers
 
