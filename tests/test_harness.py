@@ -583,6 +583,31 @@ def _zmzn_loxodromic(max_syllables):
                   key=lambda w: (len(w), w))
 
 
+def test_witness_search_oracle_exit_matches_the_bounded_search():
+    """With one seeded random u = x^-1 y per acceptance-4 pair (x and y of
+    0 to 3 letters), the exact search (a's root, which needs no oracle)
+    answers as the bounded search does, the pairwise loop over every
+    (s, t) within the bound, on every pair; and so on 3,000 seeded
+    Z/2*Z/3 instances of loxodromic a and b of up to 5 syllables."""
+    rng = random.Random(25)
+    found = 0
+    for a, b, _ in _acceptance4_pairs():
+        x, y = ("".join(rng.choice("abAB") for _ in range(rng.randint(0, 3))) for _ in "xy")
+        witness = _witness_search(FREE, a, b, x, y, 8, FREE.cyclic_core(a))
+        assert witness == witness_search_reference(FREE, a, b, x, y, 8), (a, b, x, y)
+        found += witness is not None
+    assert found > 20, found
+    lox = _zmzn_loxodromic(5)
+    found = 0
+    for _ in range(3000):
+        a, b = rng.choice(lox), rng.choice(lox)
+        x, y = ("".join(rng.choice("xyY") for _ in range(rng.randint(0, 3))) for _ in "xy")
+        witness = _witness_search(FP, a, b, x, y, 8, FP.cyclic_core(a))
+        assert witness == witness_search_reference(FP, a, b, x, y, 8), (a, b, x, y)
+        found += witness is not None
+    assert found > 100, found
+
+
 def _zmzn_commensurable_reference(a, b):
     """Commensurability of loxodromic Z/2*Z/3 elements from reference
     normal forms and cyclic permutations: cyclically reduce each by
